@@ -98,7 +98,6 @@ b = depolarizing_channel(alg, 0.4)
 ea = contraction_estimate(a, n_samples=16, refine_iters=10, rng=np.random.default_rng(6))
 eb = contraction_estimate(b, n_samples=16, refine_iters=10, rng=np.random.default_rng(7))
 ab = compose(a, b)
-ab.flags.faithful = "yes"
 eab = contraction_estimate(ab, n_samples=16, refine_iters=10, rng=np.random.default_rng(8))
 print(f"c(a) <= {ea.upper_bound:.4f}, c(b) <= {eb.upper_bound:.4f}, "
       f"product {ea.upper_bound * eb.upper_bound:.4f}, c(a b) >= {eab.lower_bound:.4f}")

@@ -1,4 +1,4 @@
-"""Central tolerance record and worker-count lookup.
+"""Central tolerance record.
 
 Every numerical cutoff used by the library lives in one frozen record that
 callers pass explicitly; there are no hidden module-level knobs.
@@ -6,7 +6,6 @@ callers pass explicitly; there are no hidden module-level knobs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 
@@ -61,15 +60,3 @@ class Tolerances:
 
 
 DEFAULT_TOLS = Tolerances()
-
-THREADS_ENV_VAR = "HENNION_LAB_THREADS"
-
-
-def worker_count() -> int:
-    """Worker count for embarrassingly parallel loops (>=1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -36,7 +36,7 @@ from .algebra import (
     make_algebra,
     trace,
 )
-from .config import DEFAULT_TOLS, Tolerances, worker_count
+from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     HennionLabError,
     HypothesisViolationError,
@@ -78,7 +78,6 @@ from .qmaps import (
     is_strict_contraction,
     replacement_channel,
     transpose_map,
-    validate_flags,
 )
 from .errors import DegeneratePairError
 
@@ -504,7 +503,6 @@ def cmd_contraction(
 ) -> dict:
     """Certified contraction interval of a map file."""
     s = load_map_file(map_file)
-    validate_flags(s)
     if faithfulness_check(s, tols) != "yes":
         raise HypothesisViolationError(
             "map is not faithful: the dual image of the identity is singular"
@@ -573,9 +571,9 @@ def cmd_process(config: dict, out_dir: str) -> dict:
     summary_streams = []
     files = []
 
-    def run_stream(stream: int):
+    for stream in range(plan.streams):
         driver = _build_driver(config["driver"], derive_seed(master, f"driver{stream}"))
-        return run_experiment(
+        result = run_experiment(
             driver,
             ensemble,
             plan,
@@ -584,17 +582,6 @@ def cmd_process(config: dict, out_dir: str) -> dict:
             probe_seed=derive_seed(master, f"probes{stream}"),
             tols=tols,
         )
-
-    workers = worker_count()
-    if workers > 1 and plan.streams > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_stream, range(plan.streams)))
-    else:
-        results = [run_stream(stream) for stream in range(plan.streams)]
-
-    for stream, result in enumerate(results):
         run_id = f"{cfg_hash[:12]}-s{stream}"
         rec = result.record
         for row in result.rows:

@@ -42,7 +42,7 @@ from .process import (
     parameter_seed,
     run_experiment,
 )
-from .qmaps import MapFlags, SuperOperator, contraction_estimate, validate_flags
+from .qmaps import MapFlags, SuperOperator, contraction_estimate, predual, validate_flags
 
 __all__ = [
     "GeneratorMap",
@@ -67,7 +67,19 @@ __all__ = [
 # product basis of tensor powers
 # ---------------------------------------------------------------------------
 
-_POWER_CACHE: dict = {}
+# Bases keyed on the algebras' values, never on object identity, so an
+# equal algebra shares an entry and a new one never gets a stale entry.
+# Oldest entries go first; a 6-site M2 basis alone holds about 0.5 GB.
+_BASES: dict = {}
+_MAX_BASES = 8
+
+
+def _cached_basis(key: tuple, build: Callable[[], list]) -> list:
+    if key not in _BASES:
+        if len(_BASES) >= _MAX_BASES:
+            del _BASES[next(iter(_BASES))]
+        _BASES[key] = build()
+    return _BASES[key]
 
 
 def _check_budget(alg: TracialAlgebra, length: int) -> None:
@@ -77,33 +89,22 @@ def _check_budget(alg: TracialAlgebra, length: int) -> None:
         )
 
 
-def _tensor_power(alg: TracialAlgebra, length: int) -> TracialAlgebra:
-    key = (id(alg), "alg", length)
-    if key not in _POWER_CACHE:
-        out = alg
-        for _ in range(length - 1):
-            out = tensor_algebra(out, alg)
-        _POWER_CACHE[key] = out
-    return _POWER_CACHE[key]
-
-
 def _product_basis(alg: TracialAlgebra, length: int) -> list:
-    """Kron products of single-site basis elements, row-major site order."""
-    key = (id(alg), "basis", length)
-    if key in _POWER_CACHE:
-        return _POWER_CACHE[key]
-    if alg.dim**length > 4096:
-        raise RejectedInputError(
-            f"observable support of {length} sites exceeds the dense-tensor budget"
-        )
-    singles = [alg.basis_element(k) for k in range(alg.dim)]
-    basis = singles
-    power = alg
-    for _ in range(length - 1):
-        power = tensor_algebra(power, alg)
-        basis = [tensor_element(power, b, s) for b in basis for s in singles]
-    _POWER_CACHE[key] = basis
-    return basis
+    """Kron products of single-site basis elements, row-major site order.
+
+    The elements live in the ``length``-fold tensor power of ``alg``.
+    """
+
+    def build() -> list:
+        singles = [alg.basis_element(k) for k in range(alg.dim)]
+        basis = singles
+        power = alg
+        for _ in range(length - 1):
+            power = tensor_algebra(power, alg)
+            basis = [tensor_element(power, b, s) for b in basis for s in singles]
+        return basis
+
+    return _cached_basis(("power", alg.block_dims, alg.trace_weights, length), build)
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,9 @@ class LocalObservable:
             raise RejectedInputError("empty support interval")
         length = hi - lo + 1
         _check_budget(site_algebra, length)
-        power = _tensor_power(site_algebra, length)
-        power._check_member(element)
         basis = _product_basis(site_algebra, length)
+        power = basis[0].algebra
+        power._check_member(element)
         coeffs = np.array([trace(power, b @ element) for b in basis], dtype=complex)
         return LocalObservable(
             site_algebra=site_algebra,
@@ -240,8 +241,7 @@ class GeneratorMap:
             MapFlags(positive="yes"),
             {"kind": "explicit_matrix", "note": f"induced_phi[{self.recipe}]"},
         )
-        validate_flags(phi)
-        phi.flags.positive = "yes"
+        phi = validate_flags(phi)
         if len(self._phi_cache) < 512:
             self._phi_cache[parameter] = phi
         return phi
@@ -297,17 +297,16 @@ class GeneratorMap:
 
 
 def _pair_basis(site: TracialAlgebra, bond: TracialAlgebra) -> list:
-    key = (id(site), id(bond), "pair")
-    if key in _POWER_CACHE:
-        return _POWER_CACHE[key]
-    pair = tensor_algebra(site, bond)
-    basis = [
-        tensor_element(pair, site.basis_element(a), bond.basis_element(g))
-        for a in range(site.dim)
-        for g in range(bond.dim)
-    ]
-    _POWER_CACHE[key] = basis
-    return basis
+    def build() -> list:
+        pair = tensor_algebra(site, bond)
+        return [
+            tensor_element(pair, site.basis_element(a), bond.basis_element(g))
+            for a in range(site.dim)
+            for g in range(bond.dim)
+        ]
+
+    key = ("pair", site.block_dims, site.trace_weights, bond.block_dims, bond.trace_weights)
+    return _cached_basis(key, build)
 
 
 def product_generator(
@@ -368,27 +367,10 @@ def random_unital_generator(
 def bond_process_ensemble(generator: GeneratorMap) -> ChannelEnsemble:
     """Preduals of the induced bond maps, as a channel ensemble."""
 
-    def build(parameter) -> SuperOperator:
-        phi = generator.induced_phi(parameter)
-        out = SuperOperator(
-            generator.bond,
-            phi.matrix.T,
-            MapFlags(
-                hermiticity_preserving="yes",
-                positive="yes",
-                completely_positive=phi.flags.completely_positive,
-                unital=phi.flags.tracial,
-                tracial=phi.flags.unital,
-                faithful="yes",  # predual of a unital positive map
-            ),
-            {"kind": "predual", "of": phi.provenance},
-        )
-        return out
-
     return ChannelEnsemble(
         generator.bond,
         f"bond_predual[{generator.recipe}]",
-        build,
+        lambda parameter: predual(generator.induced_phi(parameter)),
         cache_size=1024,
     )
 

@@ -28,6 +28,7 @@ from .algebra import (
 )
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
+    HennionLabError,
     HypothesisViolationError,
     InvertibilityViolationError,
     NotEnoughDataError,
@@ -35,6 +36,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .qmaps import (
+    MapFlags,
     SuperOperator,
     compose,
     contraction_estimate,
@@ -171,8 +173,7 @@ class ChannelEnsemble:
         from .qmaps import faithfulness_check
 
         for n in indices:
-            ch = self.channel_at(driver.point_at(n))
-            validate_flags(ch)
+            ch = validate_flags(self.channel_at(driver.point_at(n)))
             if ch.flags.positive != "yes":
                 raise HypothesisViolationError(
                     f"ensemble {self.recipe} emitted a map without validated positivity"
@@ -242,12 +243,12 @@ class ChannelEnsemble:
             ch = SuperOperator(
                 algebra,
                 mat,
-                provenance={"kind": "composition", "factors": [raw.provenance, rep.provenance]},
+                # a mixture of positive maps; the replacement component
+                # dominates the trace, so the channel is faithful
+                MapFlags(positive="yes", faithful="yes"),
+                {"kind": "composition", "factors": [raw.provenance, rep.provenance]},
             )
-            validate_flags(ch)
-            ch.flags.positive = "yes"
-            ch.flags.faithful = "yes"  # replacement component dominates the trace
-            return ch
+            return validate_flags(ch)
 
         return ChannelEnsemble(algebra, recipe, build, {"k": k, "mix_eps": mix_eps})
 
@@ -411,7 +412,7 @@ def _cheap_lower(record: ProcessRecord, tols: Tolerances, n_pairs: int = 6) -> f
         try:
             ya = projective_action(record.composed, xa, tols)
             yb = projective_action(record.composed, xb, tols)
-        except Exception:
+        except HennionLabError:
             continue
         best = max(best, hennion_distance(ya, yb, tols))
     return best
@@ -502,16 +503,12 @@ def extend_process(
     else:
         record.composed = compose(step, record.composed)
         record.n_anchor = idx
-    record.composed.flags.positive = "yes"
-    record.composed.flags.faithful = "yes"
 
     if record.length % record.renorm_stride == 0:
         alg = record.composed.algebra
         scale = trace(alg, record.composed.apply(alg.identity())).real
         if scale > 0:
             record.composed = record.composed.rescaled(1.0 / scale)
-            record.composed.flags.positive = "yes"
-            record.composed.flags.faithful = "yes"
             record.log_scale += math.log(scale)
 
     if record.est_opts.stride <= 1 or record.length % record.est_opts.stride == 0:
@@ -636,7 +633,6 @@ def equivariance_residual(
     x_n = projective_action(record.composed, probe_a, tols)
     lhs = projective_action(nxt, x_n, tols)
     extended = compose(nxt, record.composed)
-    extended.flags.faithful = "yes"
     x_n1 = projective_action(extended, probe_b, tols)
     return norm(alg, lhs.element - x_n1.element, "one")
 
@@ -730,14 +726,12 @@ def rank_one_collapse_check(
             current = compose(current, step)
         else:
             current = compose(step, current)
-        current.flags.faithful = "yes"
         length = len(lengths) + 1
         t_one = trace(alg, current.apply(one)).real
         if t_one <= tols.kernel_tol:
             break
         if t_one < 1e-150 or t_one > 1e150:
             current = current.rescaled(1.0 / t_one)
-            current.flags.faithful = "yes"
             t_one = 1.0
         x_est = projective_action(current, probe, tols)
         b_img = current.apply_dual(one).hermitize(tols)
@@ -831,7 +825,7 @@ def run_experiment(
         if plan.direction == "gamma_right":
             try:
                 _, spread = limit_state_estimate(record, probes, tols)
-            except Exception:
+            except HennionLabError:
                 spread = float("nan")
             dual_view = ProcessRecord(
                 direction="phi_left",
@@ -839,7 +833,7 @@ def run_experiment(
                 ensemble=record.ensemble,
                 n_anchor=record.n_anchor,
                 m_anchor=record.m_anchor,
-                composed=predual_of_composed(record),
+                composed=predual(record.composed, tols),
             )
             try:
                 _, resid = dual_normalized_value(dual_view, observable, tols)
@@ -875,14 +869,6 @@ def run_experiment(
     if plan.kappa is not None:
         record.kappa = plan.kappa
     return ExperimentRows(record=record, rows=rows)
-
-
-def predual_of_composed(record: ProcessRecord) -> SuperOperator:
-    s = record.composed
-    out = SuperOperator(s.algebra, s.matrix.T, provenance={"kind": "predual", "of": s.provenance})
-    out.flags.positive = "yes"
-    out.flags.hermiticity_preserving = "yes"
-    return out
 
 
 def make_standard_ensembles(algebra: TracialAlgebra) -> dict:

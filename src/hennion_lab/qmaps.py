@@ -63,13 +63,15 @@ __all__ = [
 YES, NO, UNVERIFIED = "yes", "no", "unverified"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapFlags:
     """Validated structural properties; each is yes/no/unverified.
 
-    ``positive`` may be set by construction (Kraus, strongly summable) or
-    validated empirically on ``positive_probes`` random positive inputs, in
-    which case the count records the evidence.
+    Flags are decided when a map is built: a constructor asserts what holds
+    by construction and ``validate_flags`` decides the rest.  ``positive``
+    may be set by construction (Kraus, strongly summable) or validated
+    empirically on ``positive_probes`` random positive inputs, in which case
+    the count records the evidence.
     """
 
     hermiticity_preserving: str = UNVERIFIED
@@ -118,7 +120,7 @@ class SuperOperator:
         return SuperOperator(
             self.algebra,
             self.matrix * factor,
-            replace(self.flags),
+            self.flags,
             dict(self.provenance),
         )
 
@@ -175,34 +177,36 @@ def validate_flags(
     rng: np.random.Generator | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> SuperOperator:
-    """Fill in unverified flags by direct numerical checks.
+    """The map ``s`` with its unverified flags decided by direct numerical checks.
 
-    Positivity of a map that is not completely positive is not decidable
-    from the matrix; when ``n_probe`` > 0 it is validated empirically on
-    that many random positive inputs and the count is recorded.
+    ``s`` itself is left as it is.  Positivity of a map that is not
+    completely positive is not decidable from the matrix; when ``n_probe``
+    > 0 it is validated empirically on that many random positive inputs and
+    the count is recorded.
     """
     alg = s.algebra
     f = s.flags
+    found = {}
     if f.hermiticity_preserving == UNVERIFIED:
         imag = float(np.max(np.abs(s.matrix.imag), initial=0.0))
         scale = max(1.0, float(np.max(np.abs(s.matrix.real), initial=0.0)))
-        f.hermiticity_preserving = YES if imag <= 1e-10 * scale else NO
+        found["hermiticity_preserving"] = YES if imag <= 1e-10 * scale else NO
     one = alg.identity()
     c_one = alg.coefficients(one)
     if f.unital == UNVERIFIED:
-        f.unital = (
+        found["unital"] = (
             YES
             if norm(alg, s.apply(one) - one, "inf") <= 1e-10
             else NO
         )
     if f.tracial == UNVERIFIED:
         resid = s.matrix.T @ c_one - c_one
-        f.tracial = YES if float(np.max(np.abs(resid))) <= 1e-10 else NO
+        found["tracial"] = YES if float(np.max(np.abs(resid))) <= 1e-10 else NO
     if f.completely_positive == UNVERIFIED:
-        f.completely_positive = YES if _choi_is_psd(s) else NO
+        found["completely_positive"] = YES if _choi_is_psd(s) else NO
     if f.positive == UNVERIFIED:
-        if f.completely_positive == YES:
-            f.positive = YES
+        if found.get("completely_positive", f.completely_positive) == YES:
+            found["positive"] = YES
         elif n_probe > 0:
             if rng is None:
                 rng = np.random.default_rng(0)
@@ -212,9 +216,11 @@ def validate_flags(
                 if not is_positive(alg, s.apply(p.element), tols=tols):
                     ok = False
                     break
-            f.positive = YES if ok else NO
-            f.positive_probes = n_probe
-    return s
+            found["positive"] = YES if ok else NO
+            found["positive_probes"] = n_probe
+    if not found:
+        return s
+    return SuperOperator(alg, s.matrix, replace(f, **found), s.provenance)
 
 
 def from_matrix(
@@ -253,7 +259,7 @@ def from_kraus(algebra: TracialAlgebra, kraus_ops: Sequence[AlgebraElement]) -> 
         MapFlags(positive=YES, completely_positive=UNVERIFIED),
         {"kind": "kraus", "n_ops": len(kraus_ops)},
     )
-    validate_flags(s)
+    s = validate_flags(s)
     if s.flags.completely_positive != YES:
         raise RejectedInputError("Kraus map failed its own Choi self-test")
     # application consistency between provenance and matrix representation
@@ -387,8 +393,8 @@ def mixed_unitary_channel(
             blocks.append(np.sqrt(p) * q)
         kraus.append(AlgebraElement(algebra, blocks))
     s = from_kraus(algebra, kraus)
-    s.flags.faithful = YES
-    return s
+    # unitary conjugations fix 1, so the dual image of 1 is 1: faithful
+    return SuperOperator(algebra, s.matrix, replace(s.flags, faithful=YES), s.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -403,27 +409,23 @@ def predual(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> SuperOperator:
     form, so the predual is the matrix transpose.  Requires validated
     hermiticity preservation (equivalently, a real coefficient matrix).
     Positivity-type flags transfer; unital and tracial swap; faithfulness
-    is recomputed since it does not transfer.
+    is recomputed since it does not transfer.  The flags of ``s`` are left
+    as they are.
     """
-    validate_flags(s)
-    if s.flags.hermiticity_preserving != YES:
+    f = validate_flags(s).flags
+    if f.hermiticity_preserving != YES:
         raise RejectedInputError("predual requires a hermiticity-preserving map")
     flags = MapFlags(
         hermiticity_preserving=YES,
-        positive=s.flags.positive,
-        positive_probes=s.flags.positive_probes,
-        completely_positive=s.flags.completely_positive,
-        unital=s.flags.tracial,
-        tracial=s.flags.unital,
+        positive=f.positive,
+        positive_probes=f.positive_probes,
+        completely_positive=f.completely_positive,
+        unital=f.tracial,
+        tracial=f.unital,
     )
-    out = SuperOperator(
-        s.algebra,
-        s.matrix.T,
-        flags,
-        {"kind": "predual", "of": s.provenance},
-    )
-    faithfulness_check(out, tols)
-    return out
+    out = SuperOperator(s.algebra, s.matrix.T, flags, {"kind": "predual", "of": s.provenance})
+    faithful = faithfulness_check(out, tols)
+    return SuperOperator(s.algebra, out.matrix, replace(flags, faithful=faithful), out.provenance)
 
 
 def projective_action(
@@ -484,7 +486,7 @@ def compose(s1: SuperOperator, s2: SuperOperator) -> SuperOperator:
 
 
 def faithfulness_check(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> str:
-    """Decide faithfulness and cache the flag.
+    """The faithful flag of ``s`` when decided, else the computed verdict.
 
     A positive map on the trace-norm side is faithful exactly when its dual
     applied to the identity is invertible (the trace of every image of a
@@ -500,7 +502,6 @@ def faithfulness_check(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> str
     lo = min(float(w[0]) for w in lam)
     hi = max(float(w[-1]) for w in lam)
     if lo > max(hi, 1.0) * 1e-12:
-        s.flags.faithful = YES
         return YES
     # rank of the span {dual(b_i) b_j} over the Hermitian basis
     vecs = []
@@ -513,8 +514,7 @@ def faithfulness_check(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> str
     mat = np.stack(vecs)
     rank = np.linalg.matrix_rank(mat, tol=1e-10 * max(1.0, float(np.abs(mat).max())))
     full = sum(n * n for n in alg.block_dims)
-    s.flags.faithful = YES if rank == full else NO
-    return s.flags.faithful
+    return YES if rank == full else NO
 
 
 # ---------------------------------------------------------------------------
@@ -930,7 +930,6 @@ def irreducibility_probe(
     alg = s.algebra
     total = sum(alg.block_dims)
     for p in _proj_candidates(s, rng, n_random, tols):
-        tr_p = trace(alg, p).real
         rank = round(
             sum(float(np.trace(blk).real) for blk in p.blocks)
         )
@@ -942,7 +941,6 @@ def irreducibility_probe(
         lam = norm(alg, img, "inf")
         if norm(alg, resid, "inf") <= 1e-10 * max(lam, 1.0):
             return IrreducibilityVerdict("reducible", witness=p, scale=lam)
-        del tr_p
     return IrreducibilityVerdict("no_invariant_projection_found")
 
 
@@ -954,7 +952,7 @@ def unitalize(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> SuperOperato
     which restores both unitality and trace preservation, and never
     increases the contraction constant.
     """
-    validate_flags(s)
+    s = validate_flags(s)
     alg = s.algebra
     one = alg.identity()
     s1 = s.apply(one).hermitize(tols)

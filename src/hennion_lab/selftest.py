@@ -325,7 +325,6 @@ def acc_09_submultiplicativity(n_pairs: int = 100) -> tuple[bool, str]:
         a = maps[int(rng.integers(len(maps)))]
         b = maps[int(rng.integers(len(maps)))]
         ab = compose(a, b)
-        ab.flags.faithful = "yes"
         e_ab = contraction_estimate(ab, n_samples=16, refine_iters=0, rng=np.random.default_rng(i))
         e_a = contraction_estimate(a, n_samples=8, refine_iters=0, rng=np.random.default_rng(i + 1))
         e_b = contraction_estimate(b, n_samples=8, refine_iters=0, rng=np.random.default_rng(i + 2))

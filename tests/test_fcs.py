@@ -5,6 +5,8 @@ from hennion_lab import make_algebra, norm, random_state, trace
 from hennion_lab.errors import RejectedInputError
 from hennion_lab.fcs import (
     LocalObservable,
+    _pair_basis,
+    _product_basis,
     birkhoff_average,
     bond_process_ensemble,
     clustering_experiment,
@@ -16,6 +18,7 @@ from hennion_lab.fcs import (
     translation_covariance_check,
 )
 from hennion_lab.process import ErgodicDriver
+from hennion_lab.qmaps import predual
 
 
 @pytest.fixture
@@ -62,6 +65,18 @@ class TestLocalObservable:
         assert obs.shifted(5).support == (5, 5)
         assert np.array_equal(obs.shifted(5).coeff_tensor, obs.coeff_tensor)
 
+    def test_bases_follow_the_algebra_value(self, site):
+        # a new algebra may reuse the address of a collected one, so a cache
+        # keyed on id() served it the collected algebra's basis
+        for k in range(400):
+            n = 2 + k % 2
+            alg = make_algebra([n], [1.0])
+            basis = _product_basis(alg, 2)
+            assert [b.algebra.block_dims for b in basis] == [(n * n,)] * n**4
+            pair = _pair_basis(alg, site)
+            assert [b.algebra.block_dims for b in pair] == [(2 * n,)] * (2 * n) ** 2
+            del alg, basis, pair
+
     def test_budget_guard(self, site):
         with pytest.raises(RejectedInputError):
             LocalObservable.from_sites(site, 0, [site.identity()] * 8)
@@ -88,6 +103,13 @@ class TestGeneratorValidation:
         x = random_state(bond, "full", np.random.default_rng(3))
         out = ch.apply(x.element)
         assert trace(bond, out).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_bond_channel_is_predual_of_induced_map(self, rand_gen, iid):
+        p = iid.point_at(2)
+        ch = bond_process_ensemble(rand_gen).channel_at(p)
+        ref = predual(rand_gen.induced_phi(p))
+        assert np.array_equal(ch.matrix, ref.matrix)
+        assert ch.flags == ref.flags
 
     def test_multiblock_random_generator_rejected(self, site):
         with pytest.raises(RejectedInputError):

@@ -197,7 +197,6 @@ class TestExtension:
 
     def test_renormalization_logged(self, qubit):
         ens = ChannelEnsemble.constant(depolarizing_channel(qubit, 0.5).rescaled(3.0))
-        ens.channel_at(0).flags.faithful = "yes"
         rec = start_process(ErgodicDriver("constant"), ens, "gamma_right", 0, FAST)
         for _ in range(30):
             extend_process(rec)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from hennion_lab.errors import (
     RejectedInputError,
 )
 from hennion_lab.qmaps import (
+    MapFlags,
+    SuperOperator,
     compose,
     contraction_estimate,
     dephasing_map,
@@ -78,6 +82,11 @@ class TestChoiValidation:
     def test_multiblock_choi(self, two_blocks, rng):
         s = mixed_unitary_channel(two_blocks, rng)
         assert s.flags.completely_positive == "yes"
+
+    def test_flags_are_frozen(self, qubit):
+        s = depolarizing_channel(qubit, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.flags.faithful = "no"
 
     def test_flag_semantics_on_explicit_matrix(self, qubit):
         # the transpose map loaded as a raw matrix gets empirically
@@ -180,11 +189,16 @@ class TestPredual:
         assert norm(qubit, sd.apply(a) - manual, "inf") <= 1e-10
 
     def test_unital_tracial_swap(self, qubit, rng):
-        s = random_faithful_map(qubit, 13)
-        validate_flags(s)
+        s = validate_flags(random_faithful_map(qubit, 13))
         sd = predual(s)
         assert sd.flags.unital == s.flags.tracial
         assert sd.flags.tracial == s.flags.unital
+
+    def test_leaves_argument_flags(self, qubit):
+        s = SuperOperator(qubit, depolarizing_channel(qubit, 0.5).matrix)
+        sd = predual(s)
+        assert s.flags == MapFlags()
+        assert sd.flags.completely_positive == "yes"
 
     def test_positivity_transfers(self, qubit):
         s = transpose_map(qubit)
@@ -194,10 +208,10 @@ class TestPredual:
         # alpha <= beta as maps iff their preduals compare the same way
         alpha = random_faithful_map(qubit, 14)
         gap = replacement_channel(qubit, random_state(qubit, "full", rng))
-        from hennion_lab.qmaps import SuperOperator
-
-        beta = SuperOperator(qubit, alpha.matrix + 0.5 * gap.matrix)
-        beta.flags.hermiticity_preserving = "yes"
+        # a sum of two hermiticity-preserving maps
+        beta = SuperOperator(
+            qubit, alpha.matrix + 0.5 * gap.matrix, MapFlags(hermiticity_preserving="yes")
+        )
         pa, pb = predual(alpha), predual(beta)
         for _ in range(25):
             p = random_state(qubit, "pure", rng).element
@@ -268,7 +282,6 @@ class TestCompose:
         rep = replacement_channel(qubit, x0)
         s = random_faithful_map(qubit, 31)
         both = compose(rep, s)
-        both.flags.faithful = "yes"
         est = contraction_estimate(both, n_samples=8, refine_iters=0, rng=rng)
         assert est.upper_bound <= 1e-9
 
@@ -395,8 +408,6 @@ class TestUnitalize:
 
         s = validate_flags(SuperOperator(qubit, 0.5 * base.matrix))
         fixed = unitalize(s)
-        fixed.flags.faithful = "yes"
-        base.flags.faithful = "yes"
         e_orig = contraction_estimate(base, n_samples=24, refine_iters=8, rng=rng)
         e_fix = contraction_estimate(fixed, n_samples=24, refine_iters=8, rng=rng)
         assert e_fix.lower_bound <= e_orig.upper_bound + 1e-2
