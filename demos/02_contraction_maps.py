@@ -3,7 +3,8 @@
 The projective action of a faithful positive map is nonexpansive; its
 Lipschitz constant equals the metric diameter of the image of the state
 space.  This demo brackets that constant for several maps, certifies
-strict contractions through the operator-sandwich criterion, and checks
+strict contractions through the operator-sandwich criterion (whose
+constants come from Choi and co-Choi matrices), and checks
 that the constant is invariant under trace-pairing duality.
 
 Run:  python3 demos/02_contraction_maps.py
@@ -37,7 +38,7 @@ def report(name, s, **kwargs):
     verdict = is_strict_contraction(s, est)
     print(
         f"{name:<28} c in [{est.lower_bound:.6f}, {est.upper_bound:.6f}]"
-        f"  eta={est.eta:.4f}  {verdict}"
+        f"  eta={est.eta:.4f} via {est.upper_method:<7}  {verdict}"
     )
     return est
 
@@ -49,6 +50,9 @@ report("transpose (isometry)", transpose_map(alg), n_samples=64, refine_iters=0)
 est_dep = report("depolarizing eps=0.5", depolarizing_channel(alg, 0.5),
                  n_samples=48, refine_iters=30)
 print("   exact constant for the depolarizing family: 2r/(1+r^2) with r = 1-eps = 0.8")
+report("depolarizing after transpose",
+       compose(depolarizing_channel(alg, 0.5), transpose_map(alg)), n_samples=48, refine_iters=30)
+print("   not completely positive: the co-Choi matrix proves its lower sandwich side")
 
 print("\n=== brute-force grid oracle for the depolarizing constant ===")
 best = 0.0

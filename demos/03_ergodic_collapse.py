@@ -30,13 +30,13 @@ from hennion_lab.process import (
 from hennion_lab.qmaps import depolarizing_channel, transpose_map
 
 alg = make_algebra([2], [1.0])
-opts = EstimatorOptions(n_samples=10, refine_iters=4, eta_samples=8)
+opts = EstimatorOptions(n_samples=10, refine_iters=4)
 
 print("=== constant depolarizing channel: closed-form collapse ===")
 ens = ChannelEnsemble.constant(depolarizing_channel(alg, 0.5))
 res = run_experiment(
     ErgodicDriver("constant"), ens, ProcessPlan(m_start=1, n_end=30),
-    est_opts=EstimatorOptions(n_samples=8, refine_iters=0, eta_samples=8),
+    est_opts=EstimatorOptions(n_samples=8, refine_iters=0),
 )
 print("length   lower        closed form   upper")
 for e in res.record.c_trace[:8]:
@@ -61,7 +61,7 @@ print("\n=== stopping time of a transpose/depolarizing coin flip ===")
 coin = ChannelEnsemble.mixture(
     [transpose_map(alg), depolarizing_channel(alg, 0.5)], [0.5, 0.5]
 )
-fast = EstimatorOptions(n_samples=6, refine_iters=0, eta_samples=6, eta_starts=1)
+fast = EstimatorOptions(n_samples=6, refine_iters=0)
 nus = []
 for s in range(120):
     d = ErgodicDriver("iid_shift", master_seed=derive_seed(44, f"s{s}"))

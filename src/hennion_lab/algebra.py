@@ -368,7 +368,7 @@ def is_positive(
         w, v = np.linalg.eigh(blk)
         if w[0] < worst:
             worst, bad_block, vec = float(w[0]), i, v[:, 0]
-    ok = worst >= -tol
+    ok = bool(worst >= -tol)
     return PositivityCheck(
         positive=ok,
         min_eigenvalue=worst,

@@ -40,8 +40,9 @@ class Tolerances:
     fixed_point_tol:
         Trace-norm stopping threshold of the fixed-point iteration.
     cert_margin:
-        Relative shrink applied to the certified sandwich constant to absorb
-        optimizer slack.
+        Extra relative back-off on the sandwich constants lam and mu of the
+        contraction certificate, on top of the fixed 64 machine epsilons
+        (lam shrinks, mu grows).
     """
 
     pos_tol: float = 1e-9

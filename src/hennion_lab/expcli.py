@@ -151,6 +151,7 @@ _ESTIMATOR_SCHEMA = {
     "properties": {
         "n_samples": {"type": "integer", "minimum": 1},
         "refine_iters": {"type": "integer", "minimum": 0},
+        # deprecated and ignored; accepted so that existing configs load
         "eta_samples": {"type": "integer", "minimum": 1},
         "polish": {"type": "boolean"},
         "stride": {"type": "integer", "minimum": 1},
@@ -345,7 +346,6 @@ def _build_estimator(spec: dict | None) -> EstimatorOptions:
     return EstimatorOptions(
         n_samples=int(spec.get("n_samples", 24)),
         refine_iters=int(spec.get("refine_iters", 12)),
-        eta_samples=int(spec.get("eta_samples", 16)),
         polish=bool(spec.get("polish", False)),
         stride=int(spec.get("stride", 1)),
     )
@@ -521,6 +521,7 @@ def cmd_contraction(
         "lower": est.lower_bound,
         "upper": est.upper_bound,
         "eta": est.eta,
+        "upper_method": est.upper_method,
         "verdict": is_strict_contraction(s, est),
         "fixed_point_converged": est.fixed_point_converged,
     }

@@ -509,7 +509,7 @@ def psi_of_parts(
         raise RejectedInputError(
             f"supports [{lo},{hi}] exceed the window [-{window},{window}]"
         )
-    opts = est_opts or EstimatorOptions(n_samples=8, refine_iters=0, eta_samples=8)
+    opts = est_opts or EstimatorOptions(n_samples=8, refine_iters=0)
     bond = generator.bond
     w = bond.coefficients(bond.identity())
     cursor = hi  # rightmost unconsumed site
@@ -655,7 +655,7 @@ def clustering_experiment(
     against the computed correlation.  The decay exponent is also fitted
     and reported.
     """
-    opts = est_opts or EstimatorOptions(n_samples=10, refine_iters=4, eta_samples=8)
+    opts = est_opts or EstimatorOptions(n_samples=10, refine_iters=4)
     ensemble = bond_process_ensemble(generator)
     # collapse rate of the flanking bond process
     plan = ProcessPlan(m_start=1, n_end=pre_run_length, direction="gamma_right")
@@ -801,7 +801,7 @@ def birkhoff_average(
     deviation of the average under a one-site shift of the observable are
     reported against the combined truncation budget.
     """
-    opts = est_opts or EstimatorOptions(n_samples=6, refine_iters=0, eta_samples=6)
+    opts = est_opts or EstimatorOptions(n_samples=6, refine_iters=0)
     drivers = _driver_variants(driver, omega_samples, est_seed)
     n_values = list(range(1, n_max + 1))
     partials_all, limits = [], []

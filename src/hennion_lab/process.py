@@ -311,7 +311,12 @@ def _psd_sqrt(blk: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimatorOptions:
-    """Knobs forwarded to the per-length contraction estimates."""
+    """Knobs forwarded to the per-length contraction estimates.
+
+    ``eta_samples`` and ``eta_starts`` are deprecated and ignored: they sized
+    the sampled search that the Choi-matrix certificate replaced, and stay
+    only so that existing configurations keep loading.
+    """
 
     n_samples: int = 24
     refine_iters: int = 12
@@ -324,8 +329,6 @@ class EstimatorOptions:
         return {
             "n_samples": self.n_samples,
             "refine_iters": self.refine_iters,
-            "eta_samples": self.eta_samples,
-            "eta_starts": self.eta_starts,
             "polish": self.polish,
         }
 

@@ -6,7 +6,9 @@ the adjoint with respect to it is a plain matrix transpose.  The projective
 action of a faithful positive map on states is nonexpansive for the
 projective metric; ``contraction_estimate`` brackets its Lipschitz constant
 between a sampled image diameter (lower bound) and a certificate derived
-from an operator sandwich around the fixed point (upper bound).
+from an operator sandwich around the fixed point (upper bound).  The
+sandwich constants are generalized eigenvalues of block-component Choi and
+co-Choi matrices, so the upper bound is computed, not searched for.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .algebra import (
     AlgebraElement,
@@ -145,29 +146,34 @@ def _matrix_from_action(
     return np.stack(cols, axis=1)
 
 
+def _choi_blocks(s: SuperOperator, co: bool = False) -> list[np.ndarray]:
+    """Block-component Choi matrices ``C_ij = sum_kl E_kl (x) s(E_kl)_j``.
+
+    One matrix of size ``n_i n_j`` per (input block i, output block j), in
+    row-major (i, j) order.  With ``co`` the matrix unit ``E_lk`` goes at
+    slot (k, l): the co-Choi matrices, i.e. the Choi matrices of s after the
+    blockwise transpose.
+    """
+    alg = s.algebra
+    off = alg._basis_offsets
+    out = []
+    for i, ni in enumerate(alg.block_dims):
+        # coefficients of the units E_kl of block i are c_i * b_a[l, k]
+        units = alg.trace_weights[i] * alg._basis[i]
+        for j, nj in enumerate(alg.block_dims):
+            coef = np.tensordot(s.matrix[off[j] : off[j + 1], off[i] : off[i + 1]], units, 1)
+            img = np.tensordot(coef, alg._basis[j], (0, 0))  # [l, k, m, n] = s(E_kl)_j[m, n]
+            img = img.transpose((0, 2, 1, 3) if co else (1, 2, 0, 3))
+            out.append(img.reshape(ni * nj, ni * nj))
+    return out
+
+
 def _choi_is_psd(s: SuperOperator, tol: float = 1e-9) -> bool:
     """Complete positivity via the block-component Choi matrices."""
-    alg = s.algebra
-    for i, ni in enumerate(alg.block_dims):
-        # build gamma(E_kl) for matrix units of input block i
-        outs = []
-        for k in range(ni):
-            row = []
-            for l in range(ni):
-                blocks = [np.zeros((n, n), dtype=complex) for n in alg.block_dims]
-                blocks[i][k, l] = 1.0
-                row.append(s.apply(AlgebraElement(alg, blocks)))
-            outs.append(row)
-        for j, nj in enumerate(alg.block_dims):
-            choi = np.zeros((ni * nj, ni * nj), dtype=complex)
-            for k in range(ni):
-                for l in range(ni):
-                    choi[k * nj : (k + 1) * nj, l * nj : (l + 1) * nj] = outs[k][l].blocks[j]
-            choi = (choi + choi.conj().T) / 2.0
-            w = np.linalg.eigvalsh(choi)
-            scale = max(1.0, float(abs(w[-1])))
-            if w[0] < -tol * scale:
-                return False
+    for choi in _choi_blocks(s):
+        w = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
+        if w[0] < -tol * max(1.0, float(abs(w[-1]))):
+            return False
     return True
 
 
@@ -527,9 +533,15 @@ class ContractionEstimate:
     """Two-sided bracket of the projective Lipschitz constant.
 
     ``lower_bound`` is a sampled (and refined) image diameter, hence always
-    a true lower bound.  ``upper_bound`` is ``(1 - eta^4)/(1 + eta^4)`` from
-    the sandwich constant eta at the fixed point when one was certified,
-    clamped into [lower_bound, 1].
+    a true lower bound.  ``upper_bound`` comes from the sandwich
+    ``lam*T <= s <= mu*T`` around ``T(x) = tau(s*(1) x) x0`` at the fixed
+    point x0: every image state lies in ``[lam*x0, mu*x0]``, so the constant
+    is at most ``(1 - r^2)/(1 + r^2)`` with ``r = lam/mu``, clamped into
+    [lower_bound, 1].  ``sandwich`` holds (lam, mu) when a fixed point was
+    found, ``eta = min(lam, 1/mu)`` is the symmetric constant of
+    ``eta x0 <= s.x <= eta^-1 x0``, and ``upper_method`` names the matrices
+    that proved the two sides: ``choi``, ``co_choi``, ``mixed`` (one each)
+    or ``none`` (no certificate, upper bound 1).
     """
 
     lower_bound: float
@@ -542,6 +554,8 @@ class ContractionEstimate:
     fixed_point_iterations: int = 0
     convergence_error: bool = False
     best_pair: tuple | None = field(default=None, repr=False)
+    sandwich: tuple[float, float] | None = None
+    upper_method: str = "none"
 
 
 def _axis_pure_vectors(algebra: TracialAlgebra) -> list[tuple[int, np.ndarray]]:
@@ -616,6 +630,13 @@ def _ascend(
     return z, f
 
 
+def minimize(*args, **kwargs):
+    """scipy's ``minimize``, imported on first use: only ``_polish`` needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def _polish(objective, z0: np.ndarray, maximize: bool) -> tuple[np.ndarray, float]:
     sign = -1.0 if maximize else 1.0
     res = minimize(
@@ -627,13 +648,55 @@ def _polish(objective, z0: np.ndarray, maximize: bool) -> tuple[np.ndarray, floa
     return res.x, sign * res.fun
 
 
+def _choi_sandwich(
+    s: SuperOperator, x0: State, tols: Tolerances
+) -> tuple[float, float, str]:
+    """Sandwich constants ``lam*T <= s <= mu*T`` for ``T(x) = tau(s*(1) x) x0``.
+
+    ``lam`` and ``mu`` are the order coefficients of the block-component
+    Choi matrices of s and T (Choi 1975): ``s - lam*T`` and ``mu*T - s``
+    are then completely positive, hence positive.  The co-Choi matrices
+    prove the same for co-completely-positive differences; each side keeps
+    the better of the two, which is sound since either kind of difference
+    is a positive map.  On M2 every positive map is decomposable
+    (Woronowicz 1976).  Both constants are backed off by a relative 64
+    machine epsilons and by ``cert_margin``.  Returns (lam, mu, method).
+    """
+    alg = s.algebra
+    c1 = alg.coefficients(alg.identity())
+    t = SuperOperator(alg, np.outer(alg.coefficients(x0.element), s.matrix.T @ c1))
+    dims = [ni * nj for ni in alg.block_dims for nj in alg.block_dims]
+    pairs = TracialAlgebra(dims, [1.0] * len(dims))
+    # C(T) is positive.  m_quantity is exact when C(T) is invertible or
+    # C(s) is positive too; C(T) has the same spectrum on both sides.
+    spectra = [np.linalg.eigvalsh(blk) for blk in _choi_blocks(t)]
+    t_invertible = min(w[0] for w in spectra) > tols.rank_tol * max(w[-1] for w in spectra)
+    lam, mu, lam_by, mu_by = 0.0, np.inf, None, None
+    for method, co in (("choi", False), ("co_choi", True)):
+        cs = AlgebraElement(pairs, _choi_blocks(s, co))
+        ct = AlgebraElement(pairs, _choi_blocks(t, co))
+        if not t_invertible and not is_positive(
+            pairs, cs, tol=64.0 * np.finfo(float).eps * norm(pairs, cs, "inf"), tols=tols
+        ).positive:
+            continue
+        side_lam = m_quantity(cs, ct, tols).value
+        side_nu = m_quantity(ct, cs, tols).value
+        if side_lam > lam:
+            lam, lam_by = side_lam, method
+        if side_nu > 0.0 and 1.0 / side_nu < mu:
+            mu, mu_by = 1.0 / side_nu, method
+    shrink = (1.0 - 64.0 * float(np.finfo(float).eps)) * (1.0 - tols.cert_margin)
+    lam, mu = max(lam * shrink, 0.0), mu / shrink
+    if lam <= 0.0 or not np.isfinite(mu):
+        return lam, mu, "none"
+    return lam, mu, lam_by if lam_by == mu_by else "mixed"
+
+
 def contraction_estimate(
     s: SuperOperator,
     n_samples: int = 64,
     refine_iters: int = 50,
     rng: np.random.Generator | None = None,
-    eta_samples: int | None = None,
-    eta_starts: int = 3,
     polish: bool = True,
     include_axis_probes: bool = True,
     max_fp_iter: int = 5000,
@@ -649,11 +712,12 @@ def contraction_estimate(
     diameter.
 
     Upper bound: the fixed point x0 of the projective action is located by
-    iteration, and eta is the infimum over pure states e of
-    ``min(m(s.e, x0), m(x0, s.e))``; the sandwich
-    ``eta x0 <= s.x <= eta^-1 x0`` is linear in x so pure states suffice,
-    and it implies the Lipschitz constant is at most
-    ``(1 - eta^4)/(1 + eta^4)``.
+    iteration, and ``_choi_sandwich`` computes the largest lam and smallest
+    mu with ``lam x0 <= s.x/tau(s.x) <= mu x0`` that the Choi and co-Choi
+    matrices prove.  Any two image states y, y' then satisfy
+    ``m(y, y') >= lam/mu``, so the Lipschitz constant is at most
+    ``(1 - r^2)/(1 + r^2)`` with ``r = lam/mu``.  No search is involved and
+    the bound holds for every state, not only for sampled ones.
     """
     if faithfulness_check(s, tols) != YES:
         raise HypothesisViolationError(
@@ -754,73 +818,13 @@ def contraction_estimate(
         if converged:
             fixed_point = x
 
-    eta = 0.0
+    eta, sandwich, method, upper = 0.0, None, "none", 1.0
     if fixed_point is not None:
-        # The sandwich constraint is linear in the input state, so its
-        # constant is an infimum over pure states.  Each of the two sides is
-        # minimized separately (they are smooth away from eigenvalue
-        # crossings) with multi-start descent, and a fresh verification
-        # sweep is folded in so a missed basin lowers the certificate
-        # instead of invalidating it.
-        def side_lo(block: int, v: np.ndarray) -> float:
-            return m_quantity(image_of_vec(block, v), fixed_point, tols).value
-
-        def side_hi(block: int, v: np.ndarray) -> float:
-            return m_quantity(fixed_point, image_of_vec(block, v), tols).value
-
-        n_eta = eta_samples if eta_samples is not None else max(8, n_samples // 2)
-        cands = list(axis)
-        for _ in range(n_eta):
-            b = int(rng.integers(alg.n_blocks))
-            v = rng.standard_normal(alg.block_dims[b]) + 1j * rng.standard_normal(
-                alg.block_dims[b]
-            )
-            cands.append((b, v))
-        scored = [(side_lo(b, v), side_hi(b, v), b, v) for b, v in cands]
-        eta = min(min(s[0], s[1]) for s in scored)
-
-        def _descend(side_fn, start_b, start_v, iters) -> float:
-            def neg_obj(z: np.ndarray) -> float:
-                u = _unpack(z)
-                if np.linalg.norm(u) < 1e-12:
-                    return -1.0
-                return -side_fn(start_b, u)
-
-            z0 = _pack(start_v / np.linalg.norm(start_v))
-            z, fneg = _ascend(neg_obj, z0, iters)
-            if polish:
-                z, fneg = _polish(neg_obj, z, maximize=True)
-            return -fneg
-
-        if eta > 0.0 and refine_iters > 0:
-            for side_idx, side_fn in ((0, side_lo), (1, side_hi)):
-                starts = sorted(scored, key=lambda entry: entry[side_idx])[:eta_starts]
-                for entry in starts:
-                    eta = min(eta, _descend(side_fn, entry[2], entry[3], refine_iters))
-        if eta > 0.0:
-            sweep_n = max(32, n_eta)
-            retry = None
-            for _ in range(sweep_n):
-                b = int(rng.integers(alg.n_blocks))
-                v = rng.standard_normal(alg.block_dims[b]) + 1j * rng.standard_normal(
-                    alg.block_dims[b]
-                )
-                for side_idx, side_fn in ((0, side_lo), (1, side_hi)):
-                    val = side_fn(b, v)
-                    if val < eta:
-                        eta = val
-                        retry = (side_fn, b, v)
-            if retry is not None and refine_iters > 0:
-                eta = min(eta, _descend(retry[0], retry[1], retry[2], refine_iters))
-        eta = float(min(max(eta, 0.0), 1.0))
-        # back off by the certificate margin to absorb roundoff
-        eta = max(0.0, eta * (1.0 - tols.cert_margin))
-
-    if eta > 0.0:
-        e4 = eta**4
-        upper = (1.0 - e4) / (1.0 + e4)
-    else:
-        upper = 1.0
+        lam, mu, method = _choi_sandwich(s, fixed_point, tols)
+        sandwich, eta = (lam, mu), min(lam, 1.0 / mu)
+        if method != "none":
+            r2 = (lam / mu) ** 2
+            upper = (1.0 - r2) / (1.0 + r2)
     upper = min(1.0, max(upper, lower))
 
     return ContractionEstimate(
@@ -834,6 +838,8 @@ def contraction_estimate(
         fixed_point_iterations=fp_iters,
         convergence_error=(not converged) and lower < 1.0 - 1e-9,
         best_pair=best_pair,
+        sandwich=sandwich,
+        upper_method=method,
     )
 
 

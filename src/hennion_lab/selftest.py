@@ -339,7 +339,7 @@ def acc_10_kingman_rate() -> tuple[bool, str]:
         ErgodicDriver("constant"),
         ens,
         ProcessPlan(m_start=1, n_end=40),
-        est_opts=EstimatorOptions(n_samples=8, refine_iters=0, eta_samples=8),
+        est_opts=EstimatorOptions(n_samples=8, refine_iters=0),
     )
     c = res.record.rate_C
     worst_cf = max(
@@ -362,7 +362,7 @@ def acc_11_rate_constancy(n_streams: int = 20, n_steps: int = 60) -> tuple[bool,
             driver,
             ens,
             ProcessPlan(m_start=1, n_end=n_steps),
-            est_opts=EstimatorOptions(n_samples=10, refine_iters=4, eta_samples=8),
+            est_opts=EstimatorOptions(n_samples=10, refine_iters=4),
         )
         cs.append(res.record.rate_C)
     std = float(np.std(cs))
@@ -377,7 +377,7 @@ def acc_12_forward_collapse(n_steps: int = 50) -> tuple[bool, str]:
         driver,
         ens,
         ProcessPlan(m_start=1, n_end=n_steps, probes=3),
-        est_opts=EstimatorOptions(n_samples=12, refine_iters=6, eta_samples=10),
+        est_opts=EstimatorOptions(n_samples=12, refine_iters=6),
         probe_seed=112,
     )
     spread_ok = all(
@@ -416,7 +416,7 @@ def acc_13_dual_collapse(n_steps: int = 60) -> tuple[bool, str]:
         ens,
         ProcessPlan(m_start=1, n_end=n_steps, direction="phi_left"),
         observable=a,
-        est_opts=EstimatorOptions(n_samples=12, refine_iters=6, eta_samples=10),
+        est_opts=EstimatorOptions(n_samples=12, refine_iters=6),
     )
     a_norm = norm(alg, a, "inf")
     bound_ok = all(
@@ -433,7 +433,7 @@ def acc_14_collapse_prefactor(n_streams: int = 20, n_steps: int = 45) -> tuple[b
     ens = ChannelEnsemble.random_kraus(alg, k=3, mix_eps=0.3)
     a = alg.element([np.diag([1.0, -1.0])])
     stabilized = 0
-    opts = EstimatorOptions(n_samples=8, refine_iters=2, eta_samples=6, eta_starts=1)
+    opts = EstimatorOptions(n_samples=8, refine_iters=2)
     for s in range(n_streams):
         driver = ErgodicDriver("iid_shift", master_seed=derive_seed(114, f"s{s}"))
         res = run_experiment(
@@ -451,7 +451,7 @@ def acc_15_stopping_time(n_streams: int = 1000) -> tuple[bool, str]:
     )
     from .process import extend_process, start_process
 
-    opts = EstimatorOptions(n_samples=6, refine_iters=0, eta_samples=6)
+    opts = EstimatorOptions(n_samples=6, refine_iters=0)
     nus = []
     for s in range(n_streams):
         driver = ErgodicDriver("iid_shift", master_seed=derive_seed(115, f"s{s}"))
@@ -532,7 +532,7 @@ def acc_18_determinism() -> tuple[bool, str]:
         "driver": {"kind": "iid_shift"},
         "ensemble": {"recipe": "random_kraus", "k": 2, "mix_eps": 0.3},
         "plan": {"m_start": 1, "n_end": 12, "streams": 2},
-        "estimator": {"n_samples": 8, "refine_iters": 2, "eta_samples": 6},
+        "estimator": {"n_samples": 8, "refine_iters": 2},
     }
     fcs_config = {
         "master_seed": 2025,
@@ -541,7 +541,7 @@ def acc_18_determinism() -> tuple[bool, str]:
         "driver": {"kind": "iid_shift"},
         "generator": {"recipe": "random_unital_cp", "kraus_rank": 2},
         "plan": {"gaps": [1, 2, 3], "window": 10, "pre_run_length": 12, "birkhoff_n_max": 2},
-        "estimator": {"n_samples": 6, "refine_iters": 0, "eta_samples": 6},
+        "estimator": {"n_samples": 6, "refine_iters": 0},
     }
     problems = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -109,6 +109,7 @@ class TestContractionCommand:
         report = cmd_contraction(path, n_samples=12, refine=0, out_dir=str(tmp_path))
         assert report["verdict"] == "certified_yes"
         assert report["upper"] <= 1e-9
+        assert report["upper_method"] == "choi"
         assert os.path.exists(report["fixed_point_path"])
 
     def test_kraus_map_file(self, tmp_path):

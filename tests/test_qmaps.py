@@ -7,6 +7,7 @@ from hennion_lab import (
     State,
     hennion_distance,
     line_decomposition,
+    make_algebra,
     norm,
     random_state,
     trace,
@@ -38,6 +39,7 @@ from hennion_lab.qmaps import (
     unitalize,
     validate_flags,
 )
+from hennion_lab.qmaps import _choi_is_psd
 
 
 def random_faithful_map(alg, seed, mix=0.3):
@@ -346,12 +348,15 @@ class TestContractionEstimate:
         for lim in limits[1:]:
             assert norm(qubit, lim.element - limits[0].element, "one") <= 1e-8
 
-    def test_upper_matches_eta_formula(self, qubit, rng):
+    def test_upper_matches_sandwich_ratio(self, qubit, rng):
         s = random_faithful_map(qubit, 43)
         est = contraction_estimate(s, n_samples=16, refine_iters=4, rng=rng)
-        if 0 < est.eta <= 1 and est.upper_bound < 1:
-            expected = (1 - est.eta**4) / (1 + est.eta**4)
-            assert est.upper_bound == pytest.approx(max(expected, est.lower_bound))
+        assert est.upper_method != "none"
+        lam, mu = est.sandwich
+        assert 0 < lam <= 1 <= mu
+        assert est.eta == min(lam, 1 / mu)
+        r2 = (lam / mu) ** 2
+        assert est.upper_bound == pytest.approx(max((1 - r2) / (1 + r2), est.lower_bound))
 
     def test_transpose_is_isometry(self, qubit, rng):
         s = transpose_map(qubit)
@@ -363,6 +368,153 @@ class TestContractionEstimate:
             ) == pytest.approx(hennion_distance(x, y), abs=1e-10)
         est = contraction_estimate(s, n_samples=16, refine_iters=0, rng=rng)
         assert is_strict_contraction(s, est) == "certified_no"
+
+
+class TestChoiCertificate:
+    """The upper bound from Choi and co-Choi order coefficients."""
+
+    @staticmethod
+    def _grid_infimum(s, x0, n_theta=41, n_phi=81):
+        """min(m(s.e, x0), m(x0, s.e)) over pure states e on a Bloch grid (M2)."""
+        alg = s.algebra
+        th, ph = np.meshgrid(
+            np.linspace(0, np.pi, n_theta), np.linspace(0, 2 * np.pi, n_phi), indexing="ij"
+        )
+        v = np.stack([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)], -1).reshape(-1, 2)
+        basis = np.stack([alg.basis_element(k).blocks[0] for k in range(alg.dim)])
+        w = alg.trace_weights[0]
+        pure = np.einsum("ni,nj->nij", v, v.conj()) / w
+        coef = w * np.einsum("aji,nij->na", basis, pure)
+        img = np.einsum("na,aij->nij", coef @ s.matrix.T, basis)
+        img = img / (w * np.trace(img, axis1=1, axis2=2).real)[:, None, None]
+        wx, vx = np.linalg.eigh(x0.element.blocks[0])
+        inv_sqrt = (vx / np.sqrt(wx)) @ vx.conj().T
+        spec = np.linalg.eigvalsh(inv_sqrt @ img @ inv_sqrt)
+        return float(min(spec[:, 0].min(), (1.0 / spec[:, -1]).min()))
+
+    def test_eta_never_exceeds_grid_infimum(self, qubit):
+        # the sandwich must hold at every state, so its constant can be no
+        # larger than the grid's minimum, which is itself above the infimum;
+        # the relative 1e-12 is the grid's own roundoff
+        from hennion_lab.process import ChannelEnsemble
+
+        chans = ChannelEnsemble.random_kraus(qubit, k=3, mix_eps=0.3)
+        for i in range(24):
+            length = 1 + i % 3
+            s = chans.channel_at(100 + 3 * i)
+            for k in range(1, length):
+                s = compose(chans.channel_at(100 + 3 * i + k), s)
+            est = contraction_estimate(
+                s, n_samples=8, refine_iters=0, rng=np.random.default_rng(i)
+            )
+            assert est.upper_method != "none"
+            assert est.eta <= self._grid_infimum(s, est.fixed_point) * (1 + 1e-12)
+            lam, mu = est.sandwich
+            r2 = (lam / mu) ** 2
+            assert (1 - r2) / (1 + r2) >= est.lower_bound - 1e-12  # the clamp is idle
+
+    def test_depolarizing_anchor(self, qubit):
+        est = contraction_estimate(depolarizing_channel(qubit, 0.5), n_samples=8, refine_iters=0)
+        assert est.upper_bound == pytest.approx(0.8, abs=1e-12)
+        assert est.sandwich == pytest.approx((0.5, 1.5), rel=1e-12)
+
+    def test_transpose_composition_anchor(self, qubit):
+        # not completely positive, so the Choi matrix cannot prove the lower
+        # side; the co-Choi matrix proves it and the Choi matrix the upper
+        s = compose(depolarizing_channel(qubit, 0.5), transpose_map(qubit))
+        assert not _choi_is_psd(s)
+        est = contraction_estimate(s, n_samples=8, refine_iters=0)
+        assert est.upper_bound == pytest.approx(0.8, abs=1e-12)
+        assert est.sandwich == pytest.approx((0.5, 1.5), rel=1e-12)
+        assert est.upper_method == "mixed"
+
+    @staticmethod
+    def _sides(s, x0, co):
+        """(lam, mu) of one Choi kind from per-unit images and Cholesky."""
+        alg = s.algebra
+        d = s.apply_dual(alg.identity())
+        lams, mus = [], []
+        for i, ni in enumerate(alg.block_dims):
+            for j, nj in enumerate(alg.block_dims):
+                cs = np.zeros((ni * nj, ni * nj), dtype=complex)
+                for k in range(ni):
+                    for l in range(ni):
+                        blocks = [np.zeros((n, n), dtype=complex) for n in alg.block_dims]
+                        blocks[i][(l, k) if co else (k, l)] = 1.0
+                        img = s.apply(alg.element(blocks)).blocks[j]
+                        cs[k * nj : (k + 1) * nj, l * nj : (l + 1) * nj] = img
+                di = d.blocks[i] if co else d.blocks[i].T
+                ct = np.kron(alg.trace_weights[i] * di, x0.element.blocks[j])
+                low = np.linalg.inv(np.linalg.cholesky(ct))
+                w = np.linalg.eigvalsh(low @ cs @ low.conj().T)
+                lams.append(w[0])
+                mus.append(w[-1])
+        return max(min(lams), 0.0), max(mus)
+
+    @pytest.mark.parametrize("alg_name", ["qubit", "qutrit", "two_blocks"])
+    def test_sides_match_generalized_eigenvalues(self, alg_name, request):
+        alg = request.getfixturevalue(alg_name)
+        shrink = 1 - 64 * np.finfo(float).eps
+        seen = set()
+        for seed in range(6):
+            s = random_faithful_map(alg, 60 + seed)
+            if seed % 2:
+                s = compose(s, transpose_map(alg))
+            est = contraction_estimate(s, n_samples=8, refine_iters=0)
+            lc, mc = self._sides(s, est.fixed_point, co=False)
+            lt, mt = self._sides(s, est.fixed_point, co=True)
+            lam, mu = est.sandwich
+            assert lam == pytest.approx(max(lc, lt) * shrink, rel=1e-9, abs=1e-14)
+            assert mu == pytest.approx(min(mc, mt) / shrink, rel=1e-9)
+            if lam > 0 and abs(lc - lt) > 1e-9 and abs(mc - mt) > 1e-9:
+                by_lam = "choi" if lc > lt else "co_choi"
+                by_mu = "choi" if mc < mt else "co_choi"
+                expected = by_lam if by_lam == by_mu else "mixed"
+                assert est.upper_method == expected
+                seen.add(expected)
+        assert seen
+
+    def test_replacement_ties_to_choi(self, qubit, rng):
+        s = replacement_channel(qubit, random_state(qubit, "full", rng))
+        est = contraction_estimate(s, n_samples=8, refine_iters=0, rng=rng)
+        assert est.upper_bound <= 1e-12
+        assert est.upper_method == "choi"
+
+    def test_singular_fixed_point(self, rng):
+        # half a block transpose plus a replacement into the first block: the
+        # fixed point misses the second block, so C(T) is singular and only
+        # the co-Choi side, whose matrix is positive, may be used
+        alg = make_algebra([2, 2], [1.0, 1.0])
+        rho = random_state(alg, "full", rng).element.blocks[0]
+        rho = alg.element([rho, np.zeros((2, 2))])
+        rho = rho * (1.0 / trace(alg, rho).real)
+        mat = np.stack(
+            [
+                alg.coefficients(
+                    0.5 * alg.element([x.blocks[0].T, np.zeros((2, 2))])
+                    + 0.5 * trace(alg, x) * rho
+                )
+                for x in (alg.basis_element(k) for k in range(alg.dim))
+            ],
+            axis=1,
+        )
+        s = SuperOperator(alg, mat, MapFlags(positive="yes", faithful="yes"))
+        est = contraction_estimate(s, n_samples=16, refine_iters=4, rng=rng)
+        assert not est.fixed_point.is_invertible
+        assert est.upper_method == "co_choi"
+        assert est.lower_bound <= est.upper_bound < 1
+        lam, mu = est.sandwich
+        x0 = est.fixed_point.element
+        for _ in range(500):
+            y = projective_action(s, random_state(alg, "pure", rng)).element
+            for yb, xb in zip(y.blocks, x0.blocks):
+                assert np.linalg.eigvalsh(yb - lam * xb)[0] >= -1e-12
+                assert np.linalg.eigvalsh(mu * xb - yb)[0] >= -1e-12
+
+    def test_no_fixed_point_means_no_certificate(self, qubit, rng):
+        est = contraction_estimate(transpose_map(qubit), n_samples=8, refine_iters=0, rng=rng)
+        assert est.fixed_point is None
+        assert est.sandwich is None and est.upper_method == "none" and est.eta == 0.0
 
 
 class TestIrreducibility:
