@@ -21,6 +21,7 @@ from .hennion import (
     MQuantityResult,
     classify_component,
     hennion_distance,
+    hennion_distance_many,
     line_decomposition,
     m_quantity,
     m_quantity_bisection,
@@ -47,6 +48,7 @@ __all__ = [
     "MQuantityResult",
     "classify_component",
     "hennion_distance",
+    "hennion_distance_many",
     "line_decomposition",
     "m_quantity",
     "m_quantity_bisection",

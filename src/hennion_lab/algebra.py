@@ -30,6 +30,10 @@ __all__ = [
     "is_positive",
     "support_projection",
     "random_state",
+    "random_state_stack",
+    "trace_stack",
+    "hermitize_stack",
+    "checked_state_stack",
     "tensor_algebra",
     "tensor_element",
     "save_element",
@@ -225,17 +229,8 @@ class AlgebraElement:
 
     def hermitize(self, tols: Tolerances = DEFAULT_TOLS) -> "AlgebraElement":
         """Symmetrize when the anti-Hermitian part is tiny, reject otherwise."""
-        asym = max(
-            float(np.max(np.abs(blk - blk.conj().T), initial=0.0)) for blk in self.blocks
-        )
-        scale = max(1.0, norm(self.algebra, self, "inf"))
-        if asym > tols.herm_tol * scale:
-            raise RejectedInputError(
-                f"element is not Hermitian (asymmetry {asym:.3e} beyond tolerance)"
-            )
-        return AlgebraElement(
-            self.algebra, [(blk + blk.conj().T) / 2.0 for blk in self.blocks]
-        )
+        blocks = hermitize_stack([blk[None] for blk in self.blocks], tols)
+        return AlgebraElement(self.algebra, [blk[0] for blk in blocks])
 
     def __repr__(self) -> str:
         return f"AlgebraElement(dims={list(self.algebra.block_dims)})"
@@ -266,17 +261,14 @@ class State:
     def from_element(
         x: AlgebraElement, tols: Tolerances = DEFAULT_TOLS
     ) -> "State":
-        x = x.hermitize(tols)
-        t = trace(x.algebra, x).real
-        if abs(t - 1.0) > tols.trace_tol:
-            raise RejectedInputError(f"state trace is {t}, expected 1")
-        eigs = [np.linalg.eigvalsh(blk) for blk in x.blocks]
-        lo = min(float(e[0]) for e in eigs)
-        hi = max(float(e[-1]) for e in eigs)
-        if lo < -tols.pos_tol * max(1.0, hi):
-            raise RejectedInputError(f"state has negative eigenvalue {lo:.3e}")
+        blocks, lo, hi = checked_state_stack(x.algebra, [blk[None] for blk in x.blocks], tols)
+        lo, hi = float(lo[0]), float(hi[0])
         tag = "invertible" if lo > tols.rank_tol * max(hi, 1.0) else "singular"
-        return State(element=x, min_eigenvalue=lo, component_tag=tag)
+        return State(
+            element=AlgebraElement(x.algebra, [blk[0] for blk in blocks]),
+            min_eigenvalue=lo,
+            component_tag=tag,
+        )
 
     @property
     def is_invertible(self) -> bool:
@@ -417,13 +409,21 @@ def random_state(
     and ``ranked`` uses a rank-``rank`` Wishart factor in a uniformly chosen
     block of sufficient dimension.
     """
+    x = AlgebraElement(algebra, _random_blocks(algebra, kind, rng, rank))
+    t = trace(algebra, x).real
+    return State.from_element(x * (1.0 / t), tols)
+
+
+def _random_blocks(
+    algebra: TracialAlgebra, kind: str, rng: np.random.Generator, rank: int | None
+) -> list:
+    """The unnormalized blocks of one ``random_state`` draw."""
     dims = algebra.block_dims
     if kind == "pure":
         b = int(rng.integers(algebra.n_blocks))
         v = rng.standard_normal(dims[b]) + 1j * rng.standard_normal(dims[b])
         blocks = [np.zeros((n, n), dtype=complex) for n in dims]
         blocks[b] = np.outer(v, v.conj())
-        x = AlgebraElement(algebra, blocks)
     elif kind == "ranked":
         if rank is None or rank < 1:
             raise RejectedInputError("ranked kind needs rank >= 1")
@@ -436,26 +436,102 @@ def random_state(
         )
         blocks = [np.zeros((n, n), dtype=complex) for n in dims]
         blocks[b] = g @ g.conj().T
-        x = AlgebraElement(algebra, blocks)
     elif kind in ("full", "boundary"):
         blocks = []
         for n in dims:
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             blocks.append(g.conj().T @ g + 1e-3 * np.eye(n))
-        x = AlgebraElement(algebra, blocks)
         if kind == "boundary":
-            decomps = [np.linalg.eigh(blk) for blk in x.blocks]
+            decomps = [np.linalg.eigh(blk) for blk in blocks]
             b = int(np.argmin([w[0] for w, _ in decomps]))
             w, v = decomps[b]
             w = w.copy()
             w[0] = 0.0
-            blocks = x.mutable_blocks()
             blocks[b] = (v * w) @ v.conj().T
-            x = AlgebraElement(algebra, blocks)
     else:
         raise RejectedInputError(f"unknown state kind {kind!r}")
-    t = trace(algebra, x).real
-    return State.from_element(x * (1.0 / t), tols)
+    return blocks
+
+
+# ---------------------------------------------------------------------------
+# stacks: N elements held as one (N, n, n) array per block
+# ---------------------------------------------------------------------------
+
+
+def trace_stack(algebra: TracialAlgebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Real parts of tau over a stack, shape (N,)."""
+    return sum(
+        c * np.trace(blk, axis1=1, axis2=2).real
+        for c, blk in zip(algebra.trace_weights, stacks)
+    )
+
+
+def hermitize_stack(
+    stacks: Sequence[np.ndarray], tols: Tolerances = DEFAULT_TOLS
+) -> list:
+    """``AlgebraElement.hermitize`` on every element of a stack.
+
+    The operator norm only scales a tolerance of at least ``herm_tol``, so
+    it is computed only for elements whose asymmetry exceeds ``herm_tol``.
+    """
+    flip = [blk.conj().swapaxes(1, 2) for blk in stacks]
+    asym = np.max([np.abs(b - f).max(axis=(1, 2)) for b, f in zip(stacks, flip)], axis=0)
+    suspect = asym > tols.herm_tol
+    if suspect.any():
+        scale = np.max(
+            [np.linalg.norm(blk[suspect], 2, axis=(1, 2)) for blk in stacks], axis=0
+        )
+        bad = asym[suspect] > tols.herm_tol * np.maximum(1.0, scale)
+        if bad.any():
+            raise RejectedInputError(
+                f"element is not Hermitian (asymmetry {asym[suspect][bad][0]:.3e}"
+                " beyond tolerance)"
+            )
+    return [(b + f) / 2.0 for b, f in zip(stacks, flip)]
+
+
+def checked_state_stack(
+    algebra: TracialAlgebra, stacks: Sequence[np.ndarray], tols: Tolerances = DEFAULT_TOLS
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """The checks of ``State.from_element`` on every element of a stack.
+
+    Symmetrizes (``hermitize_stack``), then rejects a trace off one by more
+    than ``trace_tol`` and an eigenvalue below ``-pos_tol`` (relative to
+    the largest when that exceeds one).  Returns the symmetrized stack and
+    the smallest and the largest eigenvalue of each element.
+    ``State.from_element`` is this on a stack of one.
+    """
+    stacks = hermitize_stack(stacks, tols)
+    t = trace_stack(algebra, stacks)
+    off = np.abs(t - 1.0) > tols.trace_tol
+    if off.any():
+        raise RejectedInputError(f"state trace is {t[off][0]}, expected 1")
+    eigs = [np.linalg.eigvalsh(blk) for blk in stacks]
+    lo = np.min([w[:, 0] for w in eigs], axis=0)
+    hi = np.max([w[:, -1] for w in eigs], axis=0)
+    bad = lo < -tols.pos_tol * np.maximum(1.0, hi)
+    if bad.any():
+        raise RejectedInputError(f"state has negative eigenvalue {lo[bad][0]:.3e}")
+    return stacks, lo, hi
+
+
+def random_state_stack(
+    algebra: TracialAlgebra,
+    kinds: Sequence[str],
+    rng: np.random.Generator,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> list:
+    """One ``random_state`` draw per entry of ``kinds``, as a stack.
+
+    The draws consume ``rng`` exactly as ``random_state`` called once per
+    kind in order would, and are normalized and symmetrized the same way,
+    without building a ``State`` per draw.
+    """
+    draws = [_random_blocks(algebra, kind, rng, None) for kind in kinds]
+    stacks = [np.stack([d[b] for d in draws]) for b in range(algebra.n_blocks)]
+    # Python division, so that a zero trace raises as it does in random_state
+    scale = np.array([1.0 / float(t) for t in trace_stack(algebra, stacks)])[:, None, None]
+    return hermitize_stack([blk * scale for blk in stacks], tols)
 
 
 # ---------------------------------------------------------------------------

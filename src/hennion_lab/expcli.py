@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import io
 import json
@@ -263,6 +264,29 @@ MAP_FILE_SCHEMA = {
     "additionalProperties": False,
 }
 
+_SCHEMAS = {
+    "ensemble": _ENSEMBLE_SCHEMA,
+    "map_file": MAP_FILE_SCHEMA,
+    "process": PROCESS_CONFIG_SCHEMA,
+    "fcs": FCS_CONFIG_SCHEMA,
+}
+
+
+@functools.cache
+def _validator(name: str):
+    """The validator of a schema in ``_SCHEMAS``, built and meta-checked once."""
+    schema = _SCHEMAS[name]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(instance, name: str) -> None:
+    """``jsonschema.validate`` against a named schema, raising the same error."""
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(instance))
+    if error is not None:
+        raise error
+
 
 # ---------------------------------------------------------------------------
 # builders
@@ -333,7 +357,7 @@ def _build_ensemble(spec: dict, algebra) -> ChannelEnsemble:
     if recipe == "mixture":
         comps = []
         for sub in spec["components"]:
-            jsonschema.validate(sub, _ENSEMBLE_SCHEMA)
+            _validate(sub, "ensemble")
             sub_e = _build_ensemble(sub, algebra)
             comps.append(sub_e.channel_at(0))
         return ChannelEnsemble.mixture(comps, [float(p) for p in spec["probs"]])
@@ -360,7 +384,7 @@ def _build_tols(spec: dict | None) -> Tolerances:
 def load_map_file(path: str) -> SuperOperator:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    jsonschema.validate(payload, MAP_FILE_SCHEMA)
+    _validate(payload, "map_file")
     algebra = make_algebra(payload["algebra"]["dims"], payload["algebra"]["weights"])
 
     def read_elem(raw_blocks) -> AlgebraElement:
@@ -535,7 +559,7 @@ def cmd_contraction(
 
 def cmd_process(config: dict, out_dir: str) -> dict:
     """Run the configured composition streams and persist rows + summary."""
-    jsonschema.validate(config, PROCESS_CONFIG_SCHEMA)
+    _validate(config, "process")
     started = time.time()
     os.makedirs(out_dir, exist_ok=True)
     tols = _build_tols(config.get("tolerances"))
@@ -668,7 +692,7 @@ def cmd_process(config: dict, out_dir: str) -> dict:
 
 def cmd_fcs(config: dict, out_dir: str) -> dict:
     """Chain-state clustering, covariance and averaging experiments."""
-    jsonschema.validate(config, FCS_CONFIG_SCHEMA)
+    _validate(config, "fcs")
     started = time.time()
     os.makedirs(out_dir, exist_ok=True)
     tols = _build_tols(config.get("tolerances"))

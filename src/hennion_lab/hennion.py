@@ -15,10 +15,18 @@ the metric, which serves as the primary cross-validation oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, State, norm, trace
+from .algebra import (
+    AlgebraElement,
+    State,
+    TracialAlgebra,
+    hermitize_stack,
+    norm,
+    trace,
+)
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DegeneratePairError, DegenerateSamplingError, RejectedInputError
 
@@ -29,6 +37,7 @@ __all__ = [
     "m_quantity_bisection",
     "m_quantity_inf_sampling",
     "hennion_distance",
+    "hennion_distance_many",
     "line_decomposition",
     "classify_component",
 ]
@@ -67,18 +76,25 @@ def _check_pair(x, y) -> tuple[AlgebraElement, AlgebraElement]:
 def m_quantity(x, y, tols: Tolerances = DEFAULT_TOLS) -> MQuantityResult:
     """Order coefficient via the support-restricted eigenpencil.
 
-    When the support of y is not contained in the support of x the value is
-    zero.  Otherwise the value is the reciprocal of the largest eigenvalue
-    of y compressed by the pseudo-inverse square root of x on its support,
-    computed block by block.
+    When x has an eigenvalue below ``-pos_tol * max(1, ||x||_inf)``, the
+    negativity ``State.from_element`` rejects, no positive multiple of y
+    sits below it and the value is zero; so it is when the support of y is
+    not contained in the support of x.  Smaller negative eigenvalues are
+    roundoff of a state and count as zero.  Otherwise the value is the
+    reciprocal of the largest eigenvalue of y compressed by the
+    pseudo-inverse square root of x on its support, computed block by
+    block.
     """
     xe, ye = _check_pair(x, y)
     alg = xe.algebra
     xh = xe.hermitize(tols)
     yh = ye.hermitize(tols)
     x_eigs = [np.linalg.eigh(blk) for blk in xh.blocks]
-    y_eigs = [np.linalg.eigh(blk) for blk in yh.blocks]
+    lo_x = min(float(w[0]) for w, _ in x_eigs)
     lam_x = max(float(w[-1]) for w, _ in x_eigs)
+    if lo_x < -tols.pos_tol * max(1.0, lam_x, -lo_x):
+        return MQuantityResult(0.0, "eigen_pencil", -1e-12)
+    y_eigs = [np.linalg.eigh(blk) for blk in yh.blocks]
     lam_y = max(float(w[-1]) for w, _ in y_eigs)
     cut_x = tols.rank_tol * max(lam_x, 0.0)
     cut_y = tols.rank_tol * max(lam_y, 0.0)
@@ -208,6 +224,65 @@ def hennion_distance(x, y, tols: Tolerances = DEFAULT_TOLS) -> float:
     if q < tols.m_product_floor:
         return 1.0
     return max(0.0, (1.0 - q) / (1.0 + q))
+
+
+def hennion_distance_many(
+    algebra: TracialAlgebra,
+    a: Sequence[np.ndarray],
+    b: Sequence[np.ndarray],
+    tols: Tolerances = DEFAULT_TOLS,
+) -> tuple[np.ndarray, int]:
+    """``hennion_distance`` of every pair (a[k], b[k]) of two state stacks.
+
+    ``a`` and ``b`` hold one (N, n, n) array per block of ``algebra``.  When
+    both states of a pair are invertible (every eigenvalue above the rank
+    cut) both order coefficients come from the stacked pencils
+    ``x^{-1/2} y x^{-1/2}``, which is what ``m_quantity`` computes for such
+    a pair.  Any other pair goes to the support-restricted
+    ``hennion_distance``, one pair at a time.  Returns the distances and
+    the number of those singular pairs.
+    """
+    a, b = hermitize_stack(a, tols), hermitize_stack(b, tols)
+    eig_a = [np.linalg.eigh(blk) for blk in a]
+    eig_b = [np.linalg.eigh(blk) for blk in b]
+
+    def invertible(eigs) -> np.ndarray:
+        top = np.max([w[:, -1] for w, _ in eigs], axis=0)
+        low = np.min([w[:, 0] for w, _ in eigs], axis=0)
+        return low > tols.rank_tol * np.maximum(top, 0.0)
+
+    fast = invertible(eig_a) & invertible(eig_b)
+    if not fast.all():
+        eig_a = [(w[fast], v[fast]) for w, v in eig_a]
+        eig_b = [(w[fast], v[fast]) for w, v in eig_b]
+        a_fast = [blk[fast] for blk in a]
+        b_fast = [blk[fast] for blk in b]
+    else:
+        a_fast, b_fast = a, b
+
+    def m_many(x_eigs, ys) -> np.ndarray:
+        # m(x, y) = 1 / max over blocks of the top pencil eigenvalue
+        tops = []
+        for (w, v), y in zip(x_eigs, ys):
+            r = np.sqrt(w)
+            pencil = v.conj().swapaxes(1, 2) @ y @ v / r[:, :, None] / r[:, None, :]
+            pencil = (pencil + pencil.conj().swapaxes(1, 2)) / 2.0
+            tops.append(np.linalg.eigvalsh(pencil)[:, -1])
+        return 1.0 / np.max(tops, axis=0)
+
+    q = m_many(eig_a, b_fast) * m_many(eig_b, a_fast)
+    out = np.ones(len(fast))
+    out[fast] = np.where(
+        q < tols.m_product_floor, 1.0, np.maximum(0.0, (1.0 - q) / (1.0 + q))
+    )
+    singular = np.flatnonzero(~fast)
+    for k in singular:
+        out[k] = hennion_distance(
+            AlgebraElement(algebra, [blk[k] for blk in a]),
+            AlgebraElement(algebra, [blk[k] for blk in b]),
+            tols,
+        )
+    return out, len(singular)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,15 @@ from .algebra import (
     AlgebraElement,
     State,
     TracialAlgebra,
+    checked_state_stack,
+    hermitize_stack,
     is_positive,
     norm,
     random_state,
+    random_state_stack,
     support_projection,
     trace,
+    trace_stack,
 )
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
@@ -35,7 +39,7 @@ from .errors import (
     RejectedInputError,
     ShapeMismatchError,
 )
-from .hennion import hennion_distance, m_quantity
+from .hennion import hennion_distance, hennion_distance_many, m_quantity
 
 __all__ = [
     "MapFlags",
@@ -53,6 +57,7 @@ __all__ = [
     "mixed_unitary_channel",
     "predual",
     "projective_action",
+    "projective_action_many",
     "compose",
     "contraction_estimate",
     "is_strict_contraction",
@@ -437,24 +442,63 @@ def predual(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> SuperOperator:
 def projective_action(
     s: SuperOperator, x: State, tols: Tolerances = DEFAULT_TOLS
 ) -> State:
-    """Normalized image s(x)/tau(s(x)); kernel states are rejected."""
-    y = s.apply(x.element)
-    t = trace(s.algebra, y).real
-    if t <= tols.kernel_tol:
+    """Normalized image s(x)/tau(s(x)); kernel states are rejected.
+
+    ``projective_action_many`` on a stack of one.
+    """
+    s.algebra._check_member(x.element)
+    images = _normalized_images(s, [blk[None] for blk in x.blocks], tols)
+    return State.from_element(AlgebraElement(s.algebra, [blk[0] for blk in images]), tols)
+
+
+def projective_action_many(
+    s: SuperOperator, stacks: Sequence[np.ndarray], tols: Tolerances = DEFAULT_TOLS
+) -> list[np.ndarray]:
+    """``projective_action`` on a stack of N states, one (N, n, n) array per block.
+
+    The coefficients of all N inputs come from one ``einsum`` per block and
+    the map is one matmul.  An image trace at or below ``kernel_tol`` raises
+    ``KernelStateError``; the images are symmetrized (``hermitize_stack``),
+    their negative eigenvalues are clipped and the trace is renormalized,
+    and the result passes ``checked_state_stack``, whose failures raise
+    ``RejectedInputError``.  Returns the images as a stack.
+    """
+    return checked_state_stack(s.algebra, _normalized_images(s, stacks, tols), tols)[0]
+
+
+def _normalized_images(
+    s: SuperOperator, stacks: Sequence[np.ndarray], tols: Tolerances
+) -> list[np.ndarray]:
+    """The images of ``projective_action_many`` before the state checks."""
+    alg = s.algebra
+    off = alg._basis_offsets
+    coeffs = np.concatenate(
+        [
+            c * np.einsum("anm,Nmn->Na", basis, blk)
+            for c, basis, blk in zip(alg.trace_weights, alg._basis, stacks)
+        ],
+        axis=1,
+    )
+    img = coeffs @ s.matrix.T
+    blocks = [
+        np.einsum("Na,anm->Nnm", img[:, off[i] : off[i + 1]], basis)
+        for i, basis in enumerate(alg._basis)
+    ]
+    t = trace_stack(alg, blocks)
+    if np.any(t <= tols.kernel_tol):
         raise KernelStateError(
-            f"image trace {t:.3e} at or below the kernel tolerance"
+            f"image trace {t.min():.3e} at or below the kernel tolerance"
         )
-    y = (y * (1.0 / t)).hermitize(tols)
+    blocks = hermitize_stack([blk * (1.0 / t)[:, None, None] for blk in blocks], tols)
     # clip roundoff negatives accumulated along long compositions
-    blocks = []
-    for blk in y.blocks:
+    for blk in blocks:
         w, v = np.linalg.eigh(blk)
-        if w[0] < 0.0:
-            blk = (v * np.maximum(w, 0.0)) @ v.conj().T
-        blocks.append(blk)
-    y = AlgebraElement(s.algebra, blocks)
-    y = y * (1.0 / trace(s.algebra, y).real)
-    return State.from_element(y, tols)
+        neg = w[:, 0] < 0.0
+        if neg.any():
+            v = v[neg]
+            blk[neg] = (v * np.maximum(w[neg], 0.0)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    t = trace_stack(alg, blocks)
+    return [blk * (1.0 / t)[:, None, None] for blk in blocks]
 
 
 def compose(s1: SuperOperator, s2: SuperOperator) -> SuperOperator:
@@ -533,7 +577,12 @@ class ContractionEstimate:
     """Two-sided bracket of the projective Lipschitz constant.
 
     ``lower_bound`` is a sampled (and refined) image diameter, hence always
-    a true lower bound.  ``upper_bound`` comes from the sandwich
+    a true lower bound: the search runs on stacked kernels, and its winning
+    pair is re-evaluated with the scalar ``hennion_distance``, so the value
+    is the distance of two actual image points.  ``singular_pairs`` counts
+    the pairs of the search whose images were not both invertible and so
+    took the exact support-restricted distance one at a time.
+    ``upper_bound`` comes from the sandwich
     ``lam*T <= s <= mu*T`` around ``T(x) = tau(s*(1) x) x0`` at the fixed
     point x0: every image state lies in ``[lam*x0, mu*x0]``, so the constant
     is at most ``(1 - r^2)/(1 + r^2)`` with ``r = lam/mu``, clamped into
@@ -556,6 +605,7 @@ class ContractionEstimate:
     best_pair: tuple | None = field(default=None, repr=False)
     sandwich: tuple[float, float] | None = None
     upper_method: str = "none"
+    singular_pairs: int = 0
 
 
 def _axis_pure_vectors(algebra: TracialAlgebra) -> list[tuple[int, np.ndarray]]:
@@ -572,15 +622,18 @@ def _axis_pure_vectors(algebra: TracialAlgebra) -> list[tuple[int, np.ndarray]]:
     return out
 
 
-def _pure_state(algebra: TracialAlgebra, block: int, v: np.ndarray) -> State:
-    blocks = [np.zeros((n, n), dtype=complex) for n in algebra.block_dims]
-    w = v / np.linalg.norm(v)
-    blocks[block] = np.outer(w, w.conj()) / algebra.trace_weights[block]
-    return State(
-        element=AlgebraElement(algebra, blocks),
-        min_eigenvalue=0.0,
-        component_tag="singular" if algebra.dim > 1 else "invertible",
-    )
+def _pure_stack(
+    algebra: TracialAlgebra, vectors: Sequence[tuple[int, np.ndarray]]
+) -> list[np.ndarray]:
+    """Pure states ``|v><v| / c_block`` (v normalized) as a stack, one per (block, v)."""
+    stacks = [np.zeros((len(vectors), n, n), dtype=complex) for n in algebra.block_dims]
+    for b in range(algebra.n_blocks):
+        rows = [k for k, (block, _) in enumerate(vectors) if block == b]
+        if rows:
+            v = np.stack([vectors[k][1] for k in rows])
+            w = v / np.linalg.norm(v, axis=1)[:, None]
+            stacks[b][rows] = w[:, :, None] * w.conj()[:, None, :] / algebra.trace_weights[b]
+    return stacks
 
 
 def _pack(v: np.ndarray) -> np.ndarray:
@@ -588,45 +641,43 @@ def _pack(v: np.ndarray) -> np.ndarray:
 
 
 def _unpack(z: np.ndarray) -> np.ndarray:
-    n = len(z) // 2
-    return z[:n] + 1j * z[n:]
+    n = z.shape[-1] // 2
+    return z[..., :n] + 1j * z[..., n:]
 
 
 def _ascend(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     z0: np.ndarray,
     steps: int,
     step_size: float = 0.1,
 ) -> tuple[np.ndarray, float]:
-    """Projected-gradient ascent with halving backtracking."""
+    """Projected-gradient ascent with halving backtracking.
+
+    ``objective`` maps a stack of points to their values.  Each step
+    evaluates the 2·dim(z) central-difference points as one stack, then the
+    full trial step alone and, only when it does not improve, the 19
+    halvings after it as one stack; the first trial that improves wins.
+    """
     z = z0 / np.linalg.norm(z0)
-    f = objective(z)
+    f = objective(z[None])[0]
     h = 1e-6
-    step = step_size
+    shifts = h * np.eye(len(z))
+    trials = step_size * 0.5 ** np.arange(20)
     for _ in range(steps):
-        g = np.zeros_like(z)
-        for i in range(len(z)):
-            zp = z.copy()
-            zp[i] += h
-            zm = z.copy()
-            zm[i] -= h
-            g[i] = (objective(zp) - objective(zm)) / (2 * h)
+        vals = objective(np.concatenate([z + shifts, z - shifts]))
+        g = (vals[: len(z)] - vals[len(z) :]) / (2 * h)
         gn = np.linalg.norm(g)
         if gn < 1e-14:
             break
-        improved = False
-        trial_step = step
-        for _ in range(20):
-            zt = z + trial_step * g / gn
-            zt = zt / np.linalg.norm(zt)
-            ft = objective(zt)
-            if ft > f:
-                z, f = zt, ft
-                improved = True
-                break
-            trial_step /= 2.0
-        if not improved:
+        zt = z + trials[:, None] * g / gn
+        zt = zt / np.linalg.norm(zt, axis=1)[:, None]
+        ft = objective(zt[:1])
+        if not ft[0] > f:
+            ft = np.concatenate([ft, objective(zt[1:])])
+        better = np.flatnonzero(ft > f)
+        if better.size == 0:
             break
+        z, f = zt[better[0]], ft[better[0]]
     return z, f
 
 
@@ -707,8 +758,13 @@ def contraction_estimate(
     Lower bound: the distance between projective images is evaluated on
     sampled pairs of boundary and pure states (plus a deterministic set of
     axis-aligned pure states) and ascended over pure-state vectors with
-    projected gradients; because every evaluated value is the distance of
-    two actual image points, the maximum is a true lower bound of the image
+    projected gradients.  Each phase evaluates its pairs as one stack with
+    ``projective_action_many`` and ``hennion_distance_many`` (the axis
+    pairs, the random pairs, the pure candidates, the gradient points of an
+    ascent step and its trial steps), keeping the choices and the rng order
+    of a pair-by-pair search.  The winning pair is re-evaluated once with
+    the scalar ``hennion_distance``, so the reported bound is the distance
+    of two actual image points and hence a true lower bound of the image
     diameter.
 
     Upper bound: the fixed point x0 of the projective action is located by
@@ -730,39 +786,57 @@ def contraction_estimate(
     def image(x: State) -> State:
         return projective_action(s, x, tols)
 
-    def image_of_vec(block: int, v: np.ndarray) -> State:
-        return image(_pure_state(alg, block, v))
+    singular = 0
+
+    def distances(xa: list, xb: list) -> tuple[np.ndarray, list, list]:
+        nonlocal singular
+        ya = projective_action_many(s, xa, tols)
+        yb = projective_action_many(s, xb, tols)
+        d, n_singular = hennion_distance_many(alg, ya, yb, tols)
+        singular += n_singular
+        return d, ya, yb
+
+    def row(stack: list, k: int) -> list:
+        return [blk[k] for blk in stack]
 
     lower = 0.0
     best_pair = None
+    best_images = None  # the image blocks of best_pair
 
     axis = _axis_pure_vectors(alg) if include_axis_probes else []
-    axis_states = [(b, v, image_of_vec(b, v)) for b, v in axis]
-    for i in range(len(axis_states)):
-        for j in range(i + 1, len(axis_states)):
-            d = hennion_distance(axis_states[i][2], axis_states[j][2], tols)
-            if d > lower:
-                lower = d
-                best_pair = (
-                    (axis_states[i][0], axis_states[i][1]),
-                    (axis_states[j][0], axis_states[j][1]),
-                )
+    if len(axis) > 1:
+        axis_images = projective_action_many(s, _pure_stack(alg, axis), tols)
+        ii, jj = np.triu_indices(len(axis), 1)  # pairs i < j, row by row
+        d, n_singular = hennion_distance_many(
+            alg, [blk[ii] for blk in axis_images], [blk[jj] for blk in axis_images], tols
+        )
+        singular += n_singular
+        k = int(np.argmax(d))  # the first strict maximum
+        if d[k] > lower:
+            lower = d[k]
+            best_pair = (axis[ii[k]], axis[jj[k]])
+            best_images = (row(axis_images, ii[k]), row(axis_images, jj[k]))
 
-    kinds = ("boundary", "pure")
-    for j in range(n_samples):
-        xa = random_state(alg, kinds[j % 2], rng, tols=tols)
-        xb = random_state(alg, kinds[(j + 1) % 2], rng, tols=tols)
-        d = hennion_distance(image(xa), image(xb), tols)
-        if d > lower:
-            lower = d
-            best_pair = (xa, xb)
+    if n_samples > 0:
+        # pair j draws a boundary and a pure state, in alternating order
+        kinds = [("boundary", "pure")[(j + side) % 2] for j in range(n_samples) for side in (0, 1)]
+        x = random_state_stack(alg, kinds, rng, tols)
+        xa, xb = [blk[0::2] for blk in x], [blk[1::2] for blk in x]
+        d, ya, yb = distances(xa, xb)
+        k = int(np.argmax(d))
+        if d[k] > lower:
+            lower = d[k]
+            best_pair = tuple(
+                State.from_element(AlgebraElement(alg, row(xs, k)), tols) for xs in (xa, xb)
+            )
+            best_images = (row(ya, k), row(yb, k))
 
     # refine over pure-state vector pairs
     pure_pair = None
     if best_pair is not None and isinstance(best_pair[0], tuple):
         pure_pair = best_pair
     else:
-        cand_lower = 0.0
+        candidates = []
         for _ in range(max(4, n_samples // 8)):
             ba = int(rng.integers(alg.n_blocks))
             bb = int(rng.integers(alg.n_blocks))
@@ -772,32 +846,46 @@ def contraction_estimate(
             vb = rng.standard_normal(alg.block_dims[bb]) + 1j * rng.standard_normal(
                 alg.block_dims[bb]
             )
-            d = hennion_distance(image_of_vec(ba, va), image_of_vec(bb, vb), tols)
-            if d >= cand_lower:
-                cand_lower = d
-                pure_pair = ((ba, va), (bb, vb))
+            candidates.append(((ba, va), (bb, vb)))
+        d, _, _ = distances(
+            _pure_stack(alg, [c[0] for c in candidates]),
+            _pure_stack(alg, [c[1] for c in candidates]),
+        )
+        pure_pair = candidates[len(d) - 1 - int(np.argmax(d[::-1]))]  # the last maximum
 
     if pure_pair is not None and refine_iters > 0 and lower < 1.0 - 1e-12:
         (ba, va), (bb, vb) = pure_pair
-        na, nb = alg.block_dims[ba], alg.block_dims[bb]
+        na = alg.block_dims[ba]
 
-        def objective(z: np.ndarray) -> float:
-            u = _unpack(z[: 2 * na])
-            w = _unpack(z[2 * na :])
-            if np.linalg.norm(u) < 1e-12 or np.linalg.norm(w) < 1e-12:
-                return 0.0
-            return hennion_distance(image_of_vec(ba, u), image_of_vec(bb, w), tols)
+        def objective(zs: np.ndarray) -> np.ndarray:
+            u, w = _unpack(zs[:, : 2 * na]), _unpack(zs[:, 2 * na :])
+            ok = (np.linalg.norm(u, axis=1) >= 1e-12) & (np.linalg.norm(w, axis=1) >= 1e-12)
+            out = np.zeros(len(zs))
+            if ok.any():
+                out[ok] = distances(
+                    _pure_stack(alg, [(ba, v) for v in u[ok]]),
+                    _pure_stack(alg, [(bb, v) for v in w[ok]]),
+                )[0]
+            return out
 
         z0 = np.concatenate([_pack(va / np.linalg.norm(va)), _pack(vb / np.linalg.norm(vb))])
         z, f = _ascend(objective, z0, refine_iters)
         if polish:
-            z, f = _polish(objective, z, maximize=True)
+            z, f = _polish(lambda z: objective(z[None])[0], z, maximize=True)
         if f > lower:
-            lower = min(f, 1.0)
             best_pair = (
                 (ba, _unpack(z[: 2 * na])),
                 (bb, _unpack(z[2 * na :])),
             )
+            best_images = tuple(
+                row(projective_action_many(s, _pure_stack(alg, [p]), tols), 0) for p in best_pair
+            )
+
+    if best_images is not None:
+        # the reported bound is the exact distance of the winning image pair
+        lower = hennion_distance(
+            AlgebraElement(alg, best_images[0]), AlgebraElement(alg, best_images[1]), tols
+        )
 
     # fixed point by iteration
     fixed_point = None
@@ -840,6 +928,7 @@ def contraction_estimate(
         best_pair=best_pair,
         sandwich=sandwich,
         upper_method=method,
+        singular_pairs=singular,
     )
 
 

@@ -245,3 +245,38 @@ class TestCliWiring:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["C_mean"] == pytest.approx(0.5, abs=1e-3)
+
+
+class TestSchemaValidators:
+    BAD = [
+        ("process", {**PROCESS_CONFIG, "bogus": 1}),
+        ("process", {**PROCESS_CONFIG, "plan": {"m_start": 1}}),
+        ("process", {**PROCESS_CONFIG, "master_seed": "eleven"}),
+        ("fcs", {**FCS_CONFIG, "algebra": {"dims": "two"}}),
+        ("map_file", {"kind": "lindblad", "algebra": {"dims": [2], "weights": [1.0]}}),
+        ("ensemble", {"recipe": "depolarizing", "eps": "half"}),
+    ]
+
+    @pytest.mark.parametrize("name,instance", BAD)
+    def test_errors_match_jsonschema_validate(self, name, instance):
+        import jsonschema
+
+        from hennion_lab.expcli import _SCHEMAS, _validate
+
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(instance, _SCHEMAS[name])
+        with pytest.raises(jsonschema.ValidationError) as got:
+            _validate(instance, name)
+        assert str(got.value) == str(expected.value)
+        assert list(got.value.absolute_path) == list(expected.value.absolute_path)
+
+    def test_valid_configs_pass(self):
+        from hennion_lab.expcli import _validate
+
+        _validate(PROCESS_CONFIG, "process")
+        _validate(FCS_CONFIG, "fcs")
+
+    def test_validator_is_built_once(self):
+        from hennion_lab.expcli import _validator
+
+        assert _validator("process") is _validator("process")

@@ -5,6 +5,7 @@ from hennion_lab import (
     State,
     classify_component,
     hennion_distance,
+    hennion_distance_many,
     line_decomposition,
     m_quantity,
     m_quantity_bisection,
@@ -287,3 +288,78 @@ class TestComponents:
     def test_equal_singular_pair(self, qubit, rng):
         p = random_state(qubit, "pure", rng)
         assert classify_component(p, p) == "same_component"
+
+
+class TestIndefiniteFirstArgument:
+    def test_matches_bisection(self, qubit):
+        x = qubit.element([np.diag([1.0, -1.0])])
+        y = qubit.element([np.diag([1.0, 0.0])])
+        assert m_quantity_bisection(x, y).value == 0.0
+        assert m_quantity(x, y).value == 0.0
+
+    def test_random_indefinite_match_bisection(self, two_blocks, rng):
+        for _ in range(20):
+            x = random_state(two_blocks, "full", rng)
+            eigs = np.concatenate([np.linalg.eigvalsh(b) for b in x.blocks])
+            shifted = x.element - 0.5 * (eigs.min() + eigs.max()) * two_blocks.identity()
+            y = random_state(two_blocks, "pure", rng)
+            assert m_quantity_bisection(shifted, y).value == 0.0
+            assert m_quantity(shifted, y).value == 0.0
+
+    def test_roundoff_negative_keeps_support_path(self, qubit):
+        # an eigenvalue inside the bisection slack is roundoff, not a sign
+        x = qubit.element([np.diag([1.0, -1e-18])])
+        y = qubit.element([np.diag([1.0, 0.0])])
+        assert m_quantity_bisection(x, y).value == 1.0
+        assert m_quantity(x, y).value == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("neg", [1e-12, 1e-10])
+    def test_accepted_state_with_negative_eigenvalue(self, qubit, neg):
+        # State.from_element accepts eigenvalues down to -pos_tol; such a
+        # state is at distance zero from itself
+        x = diag_state(qubit, [1.0, -neg])
+        assert x.min_eigenvalue < -64.0 * np.finfo(float).eps
+        assert m_quantity_bisection(x, x).value == 1.0
+        assert m_quantity(x, x).value == pytest.approx(1.0, abs=1e-12)
+        assert hennion_distance(x, x) == pytest.approx(0.0, abs=1e-12)
+
+    def test_negativity_beyond_state_tolerance_gives_zero(self, qubit):
+        x = qubit.element([np.diag([1.0, -1e-8])])
+        y = qubit.element([np.diag([1.0, 0.0])])
+        assert m_quantity_bisection(x, y).value == 0.0
+        assert m_quantity(x, y).value == 0.0
+
+
+def _stack(states):
+    alg = states[0].algebra
+    return [np.stack([x.blocks[b] for x in states]) for b in range(alg.n_blocks)]
+
+
+class TestStackedDistance:
+    @pytest.mark.parametrize("alg_name", ["qubit", "qutrit", "two_blocks"])
+    def test_invertible_pairs_match_scalar(self, alg_name, request, rng):
+        alg = request.getfixturevalue(alg_name)
+        xs = [random_state(alg, "full", rng) for _ in range(25)]
+        ys = [random_state(alg, "full", rng) for _ in range(25)]
+        d, singular = hennion_distance_many(alg, _stack(xs), _stack(ys))
+        assert singular == 0
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            assert abs(d[k] - hennion_distance(x, y)) <= 1e-12
+
+    @pytest.mark.parametrize("alg_name", ["qubit", "qutrit", "two_blocks"])
+    def test_pure_and_boundary_pairs_are_counted(self, alg_name, request, rng):
+        alg = request.getfixturevalue(alg_name)
+        kinds = ["full", "pure", "boundary"]
+        xs = [random_state(alg, kinds[k % 3], rng) for k in range(12)]
+        ys = [random_state(alg, kinds[(k // 3) % 3], rng) for k in range(12)]
+        d, singular = hennion_distance_many(alg, _stack(xs), _stack(ys))
+        assert singular == sum(not (x.is_invertible and y.is_invertible) for x, y in zip(xs, ys))
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            assert abs(d[k] - hennion_distance(x, y)) <= 1e-12
+
+    def test_floor_gives_distance_one(self, qubit):
+        x = diag_state(qubit, [1.0, 1e-11])
+        y = diag_state(qubit, [1e-11, 1.0])
+        d, singular = hennion_distance_many(qubit, _stack([x]), _stack([y]))
+        assert singular == 0
+        assert d[0] == hennion_distance(x, y) == 1.0

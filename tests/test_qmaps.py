@@ -34,6 +34,7 @@ from hennion_lab.qmaps import (
     mixed_unitary_channel,
     predual,
     projective_action,
+    projective_action_many,
     replacement_channel,
     transpose_map,
     unitalize,
@@ -570,3 +571,162 @@ class TestUnitalize:
         )
         with pytest.raises(RejectedInputError):
             unitalize(s)
+
+
+def _stack(states):
+    alg = states[0].algebra
+    return [np.stack([x.blocks[b] for x in states]) for b in range(alg.n_blocks)]
+
+
+def _gaussian_kraus_map(alg, seed, k=3):
+    rng = np.random.default_rng(seed)
+    ops = [
+        alg.element(
+            [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in alg.block_dims]
+        )
+        for _ in range(k)
+    ]
+    return from_kraus(alg, ops)
+
+
+class TestStackedKernels:
+    ALGEBRAS = ["qubit", "qutrit", "two_blocks"]
+
+    @pytest.mark.parametrize("alg_name", ALGEBRAS)
+    @pytest.mark.parametrize("kind", ["full", "pure", "boundary"])
+    def test_action_matches_scalar(self, alg_name, kind, request, rng):
+        from hennion_lab.hennion import hennion_distance_many
+
+        alg = request.getfixturevalue(alg_name)
+        s = random_faithful_map(alg, 7)
+        xs = [random_state(alg, kind, rng) for _ in range(12)]
+        ys = [random_state(alg, "pure", rng) for _ in range(12)]
+        images_x = projective_action_many(s, _stack(xs))
+        images_y = projective_action_many(s, _stack(ys))
+        d, singular = hennion_distance_many(alg, images_x, images_y)
+        assert singular == 0  # the replacement part makes every image invertible
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            sx, sy = projective_action(s, x), projective_action(s, y)
+            for b in range(alg.n_blocks):
+                assert np.max(np.abs(images_x[b][k] - sx.blocks[b])) <= 1e-12
+            assert abs(d[k] - hennion_distance(sx, sy)) <= 1e-12
+
+    @pytest.mark.parametrize("alg_name", ALGEBRAS)
+    @pytest.mark.parametrize("build", [identity_map, dephasing_map, transpose_map])
+    def test_singular_images_take_counted_fallback(self, alg_name, build, request, rng):
+        from hennion_lab.hennion import hennion_distance_many
+
+        alg = request.getfixturevalue(alg_name)
+        s = build(alg)
+        # the identity and transpose keep pure states pure, dephasing keeps
+        # the axis states pure
+        axis = alg.element([np.diag([1.0] + [0.0] * (n - 1)) for n in alg.block_dims])
+        xs = [random_state(alg, "pure", rng) for _ in range(5)]
+        xs.append(State.from_element(axis * (1.0 / trace(alg, axis).real)))
+        ys = [random_state(alg, "full", rng) for _ in range(6)]
+        images_x = projective_action_many(s, _stack(xs))
+        images_y = projective_action_many(s, _stack(ys))
+        d, singular = hennion_distance_many(alg, images_x, images_y)
+        expected = sum(
+            not projective_action(s, x).is_invertible or not projective_action(s, y).is_invertible
+            for x, y in zip(xs, ys)
+        )
+        assert expected > 0
+        assert singular == expected
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            want = hennion_distance(projective_action(s, x), projective_action(s, y))
+            assert abs(d[k] - want) <= 1e-12
+
+    def test_kernel_state_raises_like_scalar(self, qubit, rng):
+        s = from_kraus(qubit, [qubit.element([np.diag([1.0, 0.0])])])
+        bad = State.from_element(qubit.element([np.diag([0.0, 2.0])]))
+        good = random_state(qubit, "full", rng)
+        with pytest.raises(KernelStateError):
+            projective_action(s, bad)
+        with pytest.raises(KernelStateError):
+            projective_action_many(s, _stack([good, bad]))
+
+    def test_non_hermitian_image_raises_like_scalar(self, qubit, rng):
+        # put an imaginary multiple of an off-diagonal basis element in the
+        # image: the trace stays real, the image is not Hermitian
+        mat = np.eye(qubit.dim, dtype=complex)
+        mat[2, 0] = 0.5j
+        s = SuperOperator(qubit, mat)
+        x = random_state(qubit, "full", rng)
+        with pytest.raises(RejectedInputError, match="not Hermitian"):
+            projective_action(s, x)
+        with pytest.raises(RejectedInputError, match="not Hermitian"):
+            projective_action_many(s, _stack([x, x]))
+
+    def test_non_hermitian_distance_input_raises_like_scalar(self, qubit, rng):
+        from hennion_lab.hennion import hennion_distance_many
+
+        x = random_state(qubit, "full", rng)
+        skew = qubit.element([x.blocks[0] + np.array([[0.0, 0.1], [0.0, 0.0]])])
+        with pytest.raises(RejectedInputError, match="not Hermitian"):
+            hennion_distance(skew, x)
+        stack = [np.stack([skew.blocks[0]])]
+        with pytest.raises(RejectedInputError, match="not Hermitian"):
+            hennion_distance_many(qubit, stack, _stack([x]))
+
+    def test_estimate_counts_singular_pairs(self, qubit, rng):
+        est = contraction_estimate(identity_map(qubit), n_samples=8, refine_iters=0, rng=rng)
+        assert est.lower_bound == 1.0
+        assert est.singular_pairs > 0
+        est = contraction_estimate(
+            depolarizing_channel(qubit, 0.5), n_samples=8, refine_iters=2, rng=rng
+        )
+        assert est.singular_pairs == 0
+
+
+class TestPinnedLowerBounds:
+    """Lower bounds of the pair-by-pair search that the stacked search replaced."""
+
+    PINNED = {
+        "dep_m2": (0.8000000000000003, 0.8, 0.8),
+        "dep_dep_m2": (0.38461538461538564, 0.38461538461538475, 0.38461538461538475),
+        "dep_transpose_m2": (0.8000000000000003, 0.8, 0.8),
+        "kraus_m2": (0.9950305535162474, 0.9871713267381169, 0.9950305498398742),
+        "kraus2_m2": (0.5145715952908209, 0.43281354843391173, 0.5145715952908128),
+        "kraus_m3": (1.0, 0.999342935353311, 1.0),
+        "dep_m3": (0.9692307692307692, 0.9692307692307692, 0.9692307692307692),
+        "mix_m2": (0.7899385095340494, 0.7522728744716025, 0.7899385057740869),
+        "mix2_m2": (0.49132139442745654, 0.37468199907795724, 0.49132139442728456),
+        "mix_m3": (0.9445586217116717, 0.9300912476977619, 0.9445551193125812),
+        "mix_m22": (0.9861688110015038, 0.982559095146417, 0.9861688110015036),
+        "mix2_m22": (0.8746901223973491, 0.8673733639878166, 0.8746901223973302),
+    }
+    OPTIONS = [(10, 4, True), (8, 0, False), (24, 12, False)]
+
+    @staticmethod
+    def maps():
+        m2 = make_algebra([2], [1.0])
+        m3 = make_algebra([3], [1.0])
+        m22 = make_algebra([2, 2], [1.0, 2.0])
+        return {
+            "dep_m2": depolarizing_channel(m2, 0.5),
+            "dep_dep_m2": compose(depolarizing_channel(m2, 0.5), depolarizing_channel(m2, 0.6)),
+            "dep_transpose_m2": compose(depolarizing_channel(m2, 0.5), transpose_map(m2)),
+            "kraus_m2": _gaussian_kraus_map(m2, 1),
+            "kraus2_m2": compose(_gaussian_kraus_map(m2, 4), _gaussian_kraus_map(m2, 5)),
+            "kraus_m3": _gaussian_kraus_map(m3, 2),
+            "dep_m3": depolarizing_channel(m3, 0.3),
+            "mix_m2": random_faithful_map(m2, 0),
+            "mix2_m2": compose(random_faithful_map(m2, 1), random_faithful_map(m2, 2)),
+            "mix_m3": random_faithful_map(m3, 3),
+            "mix_m22": random_faithful_map(m22, 4),
+            "mix2_m22": compose(random_faithful_map(m22, 5), random_faithful_map(m22, 6)),
+        }
+
+    @pytest.mark.parametrize("option", range(3))
+    def test_lower_bounds_unchanged(self, option):
+        n_samples, refine_iters, polish = self.OPTIONS[option]
+        for name, s in self.maps().items():
+            est = contraction_estimate(
+                s,
+                n_samples=n_samples,
+                refine_iters=refine_iters,
+                polish=polish,
+                rng=np.random.default_rng(11),
+            )
+            assert est.lower_bound == pytest.approx(self.PINNED[name][option], abs=1e-9), name
