@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,11 +97,20 @@ class TracialAlgebra:
         self.trace_weights = weights
         self.n_blocks = len(dims)
         self.dim = sum(n * n for n in dims)
-        self._basis = [
-            _hermitian_block_basis(n, c) for n, c in zip(dims, weights)
-        ]
         self._basis_offsets = np.cumsum([0] + [n * n for n in dims])
         assert abs(sum(c * n for c, n in zip(self.trace_weights, dims)) - 1.0) < 1e-12
+
+    @cached_property
+    def _basis(self) -> list:
+        """Per-block ``(n*n, n, n)`` Hermitian bases, built on first use.
+
+        A tensor power that only checks membership never needs them, and a
+        64x64 block's basis alone takes 256 MB.
+        """
+        return [
+            _hermitian_block_basis(n, c)
+            for n, c in zip(self.block_dims, self.trace_weights)
+        ]
 
     # -- basic values --------------------------------------------------
 

@@ -11,8 +11,10 @@ whose only error is the certified contraction bound of the flank.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,9 +25,8 @@ from .algebra import (
     TracialAlgebra,
     is_positive,
     norm,
+    random_state,
     tensor_algebra,
-    tensor_element,
-    trace,
 )
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
@@ -64,22 +65,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# product basis of tensor powers
+# local observables
 # ---------------------------------------------------------------------------
-
-# Bases keyed on the algebras' values, never on object identity, so an
-# equal algebra shares an entry and a new one never gets a stale entry.
-# Oldest entries go first; a 6-site M2 basis alone holds about 0.5 GB.
-_BASES: dict = {}
-_MAX_BASES = 8
-
-
-def _cached_basis(key: tuple, build: Callable[[], list]) -> list:
-    if key not in _BASES:
-        if len(_BASES) >= _MAX_BASES:
-            del _BASES[next(iter(_BASES))]
-        _BASES[key] = build()
-    return _BASES[key]
 
 
 def _check_budget(alg: TracialAlgebra, length: int) -> None:
@@ -89,37 +76,53 @@ def _check_budget(alg: TracialAlgebra, length: int) -> None:
         )
 
 
-def _product_basis(alg: TracialAlgebra, length: int) -> list:
-    """Kron products of single-site basis elements, row-major site order.
+def _site_coefficients(
+    sites: Sequence[TracialAlgebra], element: AlgebraElement
+) -> np.ndarray:
+    """Coefficients of an element of ``sites[0] (x) ... (x) sites[-1]``.
 
-    The elements live in the ``length``-fold tensor power of ``alg``.
+    Entry ``(a_1, ..., a_L)``, flattened with the first site major, is
+    ``tau(b_{a_1} (x) ... (x) b_{a_L} x)`` over the sites' Hermitian bases.
+    Block ``(i_1, ..., i_L)`` of the element (row-major, as
+    ``tensor_algebra`` orders them) is contracted against one site basis at
+    a time and scaled by the product of the site weights.
     """
-
-    def build() -> list:
-        singles = [alg.basis_element(k) for k in range(alg.dim)]
-        basis = singles
-        power = alg
-        for _ in range(length - 1):
-            power = tensor_algebra(power, alg)
-            basis = [tensor_element(power, b, s) for b in basis for s in singles]
-        return basis
-
-    return _cached_basis(("power", alg.block_dims, alg.trace_weights, length), build)
+    out = np.zeros(tuple(s.dim for s in sites), dtype=complex)
+    tuples = itertools.product(*(range(s.n_blocks) for s in sites))
+    for idx, blk in zip(tuples, element.blocks):
+        dims = [s.block_dims[i] for s, i in zip(sites, idx)]
+        t = blk.reshape(dims + dims)  # t[row_1..row_L, col_1..col_L]
+        for k, (s, i) in enumerate(zip(sites, idx)):
+            # tau(b x) = c Tr(b x) = c sum b[col, row] x[row, col]; the new
+            # coefficient axis goes last, so the next site is always axis 0
+            t = np.tensordot(t, s._basis[i], axes=([0, len(sites) - k], [2, 1]))
+        weight = math.prod(s.trace_weights[i] for s, i in zip(sites, idx))
+        window = tuple(
+            slice(s._basis_offsets[i], s._basis_offsets[i + 1])
+            for s, i in zip(sites, idx)
+        )
+        out[window] = weight * t
+    return out.reshape(-1)
 
 
 @dataclass(frozen=True)
 class LocalObservable:
     """An observable supported on a finite integer interval of sites.
 
-    ``element`` lives in the ``length``-fold tensor power of the on-site
-    algebra; its expansion over products of single-site basis elements is
-    cached, and embedding into any larger window is implicit (identity
-    sites never enter the evaluation, preserving the sup norm).
+    ``coeff_tensor`` expands it over products of single-site basis elements,
+    first site major: entry ``(a_1, ..., a_L)`` is
+    ``tau(b_{a_1} (x) ... (x) b_{a_L} x)``.  The trace of the tensor power
+    is the product trace, so a product ``f_1 (x) ... (x) f_L`` has
+    ``kron(c(f_1), ..., c(f_L))`` with ``c = site_algebra.coefficients``,
+    and its ``norm_inf`` is the product of the factors' operator norms.
+    Embedding into any larger window is implicit (identity sites never
+    enter the evaluation, preserving the sup norm).  The budget of 4096
+    entries bounds the dense tensor that ``_core_eval`` consumes; it is
+    checked at construction, which itself never builds a power basis.
     """
 
     site_algebra: TracialAlgebra
     support: tuple[int, int]
-    element: AlgebraElement
     norm_inf: float
     coeff_tensor: np.ndarray = field(repr=False)
 
@@ -137,21 +140,21 @@ class LocalObservable:
         support: tuple[int, int],
         element: AlgebraElement,
     ) -> "LocalObservable":
+        """An observable from an element of the ``length``-fold tensor power."""
         lo, hi = int(support[0]), int(support[1])
         if hi < lo:
             raise RejectedInputError("empty support interval")
         length = hi - lo + 1
         _check_budget(site_algebra, length)
-        basis = _product_basis(site_algebra, length)
-        power = basis[0].algebra
+        power = site_algebra
+        for _ in range(length - 1):
+            power = tensor_algebra(power, site_algebra)
         power._check_member(element)
-        coeffs = np.array([trace(power, b @ element) for b in basis], dtype=complex)
         return LocalObservable(
             site_algebra=site_algebra,
             support=(lo, hi),
-            element=element,
             norm_inf=norm(power, element, "inf"),
-            coeff_tensor=coeffs,
+            coeff_tensor=_site_coefficients([site_algebra] * length, element),
         )
 
     @staticmethod
@@ -160,26 +163,21 @@ class LocalObservable:
         start: int,
         factors: Sequence[AlgebraElement],
     ) -> "LocalObservable":
+        """The product observable ``factors[0] (x) ...`` from site ``start``."""
         if not factors:
             raise RejectedInputError("need at least one site factor")
         _check_budget(site_algebra, len(factors))
-        power = site_algebra
-        elem = factors[0]
-        for f in factors[1:]:
-            power = tensor_algebra(power, site_algebra)
-            elem = tensor_element(power, elem, f)
-        return LocalObservable.from_element(
-            site_algebra, (start, start + len(factors) - 1), elem
+        return LocalObservable(
+            site_algebra=site_algebra,
+            support=(start, start + len(factors) - 1),
+            norm_inf=math.prod(norm(site_algebra, f, "inf") for f in factors),
+            coeff_tensor=functools.reduce(
+                np.kron, [site_algebra.coefficients(f) for f in factors]
+            ),
         )
 
     def shifted(self, k: int) -> "LocalObservable":
-        return LocalObservable(
-            site_algebra=self.site_algebra,
-            support=(self.support[0] + k, self.support[1] + k),
-            element=self.element,
-            norm_inf=self.norm_inf,
-            coeff_tensor=self.coeff_tensor,
-        )
+        return replace(self, support=(self.support[0] + k, self.support[1] + k))
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +269,10 @@ class GeneratorMap:
         if norm(self.bond, one_out - self.bond.identity(), "inf") > 1e-10:
             raise HypothesisViolationError("generator is not unital")
         pair = tensor_algebra(self.on_site, self.bond)
-        basis2 = _pair_basis(self.on_site, self.bond)
         emat = self.map_at(parameter)
         for _ in range(n_probe):
-            from .algebra import random_state
-
             z = random_state(pair, "full", rng, tols=tols).element
-            cz = np.array([trace(pair, b @ z) for b in basis2])
+            cz = _site_coefficients([self.on_site, self.bond], z)
             out = self.bond.from_coefficients(emat @ cz)
             if not is_positive(self.bond, out, tols=tols):
                 raise HypothesisViolationError(
@@ -294,19 +289,6 @@ class GeneratorMap:
                 raise HypothesisViolationError(
                     "induced bond map disagrees with the generator on 1 (x) probes"
                 )
-
-
-def _pair_basis(site: TracialAlgebra, bond: TracialAlgebra) -> list:
-    def build() -> list:
-        pair = tensor_algebra(site, bond)
-        return [
-            tensor_element(pair, site.basis_element(a), bond.basis_element(g))
-            for a in range(site.dim)
-            for g in range(bond.dim)
-        ]
-
-    key = ("pair", site.block_dims, site.trace_weights, bond.block_dims, bond.trace_weights)
-    return _cached_basis(key, build)
 
 
 def product_generator(
@@ -337,8 +319,9 @@ def random_unital_generator(
     if on_site.n_blocks != 1 or bond.n_blocks != 1:
         raise RejectedInputError("random generators support single-block algebras")
     n_m, n_w = on_site.block_dims[0], bond.block_dims[0]
-    pair_basis = _pair_basis(on_site, bond)
-    pair_mats = [b.blocks[0] for b in pair_basis]  # concrete (n_m n_w) matrices
+    pair_mats = [  # the product basis of the pair, site index major
+        np.kron(a, g) for a in on_site._basis[0] for g in bond._basis[0]
+    ]
 
     def build(parameter) -> np.ndarray:
         rng = np.random.default_rng(parameter_seed(parameter))

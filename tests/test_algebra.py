@@ -230,6 +230,17 @@ class TestElementArithmetic:
         back = two_blocks.from_coefficients(two_blocks.coefficients(x))
         assert norm(two_blocks, x - back, "inf") <= 1e-12
 
+    def test_basis_built_on_first_use(self, rng):
+        # the (4096, 64, 64) basis of a 64x64 block takes 256 MB, so an
+        # algebra that is only checked against must not allocate it
+        alg = make_algebra([64], [1.0])
+        assert "_basis" not in vars(alg)
+        g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        x = alg.element([g])
+        coeffs = alg.coefficients(x)
+        assert "_basis" in vars(alg)
+        assert norm(alg, x - alg.from_coefficients(coeffs), "inf") <= 1e-12
+
 
 class TestTensorHelpers:
     def test_tensor_algebra_weights(self):

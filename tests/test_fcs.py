@@ -1,12 +1,21 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from hennion_lab import make_algebra, norm, random_state, trace
+from hennion_lab import (
+    fcs,
+    make_algebra,
+    norm,
+    random_state,
+    tensor_algebra,
+    tensor_element,
+    trace,
+)
 from hennion_lab.errors import RejectedInputError
 from hennion_lab.fcs import (
     LocalObservable,
-    _pair_basis,
-    _product_basis,
     birkhoff_average,
     bond_process_ensemble,
     clustering_experiment,
@@ -17,7 +26,7 @@ from hennion_lab.fcs import (
     random_unital_generator,
     translation_covariance_check,
 )
-from hennion_lab.process import ErgodicDriver
+from hennion_lab.process import ErgodicDriver, parameter_seed
 from hennion_lab.qmaps import predual
 
 
@@ -49,6 +58,50 @@ def pauli(site, which):
     return site.element([mats[which]])
 
 
+def random_matrix(rng, n, hermitian=False):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (g + g.conj().T) / 2 if hermitian else g
+
+
+def random_element(alg, rng, hermitian=False):
+    return alg.element([random_matrix(rng, n, hermitian) for n in alg.block_dims])
+
+
+def dense(site, x, length=1):
+    """x in the length-fold power as one matrix on the Kronecker power of
+    the site's block-diagonal space."""
+    offs = np.cumsum([0, *site.block_dims])
+    out = np.zeros((offs[-1] ** length,) * 2, dtype=complex)
+    tuples = itertools.product(range(site.n_blocks), repeat=length)
+    for idx, blk in zip(tuples, x.blocks):
+        rows = reduce(
+            lambda r, i: (r[:, None] * offs[-1] + np.arange(offs[i], offs[i + 1])).ravel(),
+            idx,
+            np.zeros(1, dtype=int),
+        )
+        out[np.ix_(rows, rows)] = blk
+    return out
+
+
+def reference_coefficients(site, x_dense, length):
+    """tau(b_{a_1} (x) ... (x) b_{a_L} x) by numpy traces, first site major."""
+    w = np.diag(np.repeat(site.trace_weights, site.block_dims))
+    units = [w @ dense(site, site.basis_element(a)) for a in range(site.dim)]
+    return np.array(
+        [
+            np.sum(reduce(np.kron, factors) * x_dense.T)  # Tr(k x)
+            for factors in itertools.product(units, repeat=length)
+        ]
+    )
+
+
+SITES = {
+    "M2": ([2], [1.0]),
+    "M3": ([3], [1.0]),
+    "M2+M1": ([2, 1], [1.0, 2.0]),
+}
+
+
 class TestLocalObservable:
     def test_single_site(self, site):
         obs = LocalObservable.from_sites(site, 3, [pauli(site, "z")])
@@ -65,17 +118,67 @@ class TestLocalObservable:
         assert obs.shifted(5).support == (5, 5)
         assert np.array_equal(obs.shifted(5).coeff_tensor, obs.coeff_tensor)
 
-    def test_bases_follow_the_algebra_value(self, site):
-        # a new algebra may reuse the address of a collected one, so a cache
-        # keyed on id() served it the collected algebra's basis
+    def test_bases_follow_the_algebra_value(self):
+        # coefficients must follow each new algebra's value: a basis cache
+        # keyed on id() once served a collected algebra's basis to a new one
+        rng = np.random.default_rng(21)
         for k in range(400):
-            n = 2 + k % 2
-            alg = make_algebra([n], [1.0])
-            basis = _product_basis(alg, 2)
-            assert [b.algebra.block_dims for b in basis] == [(n * n,)] * n**4
-            pair = _pair_basis(alg, site)
-            assert [b.algebra.block_dims for b in pair] == [(2 * n,)] * (2 * n) ** 2
-            del alg, basis, pair
+            alg = make_algebra([2 + k % 2], [1.0])
+            f, g = random_element(alg, rng), random_element(alg, rng)
+            x = random_element(tensor_algebra(alg, alg), rng)
+            prod = LocalObservable.from_sites(alg, 0, [f, g])
+            obs = LocalObservable.from_element(alg, (0, 1), x)
+            ref_fg = reference_coefficients(alg, np.kron(dense(alg, f), dense(alg, g)), 2)
+            ref_x = reference_coefficients(alg, dense(alg, x, 2), 2)
+            assert np.allclose(prod.coeff_tensor, ref_fg, rtol=0, atol=1e-13)
+            assert np.allclose(obs.coeff_tensor, ref_x, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(SITES))
+    def test_from_sites_matches_dense_reference(self, name):
+        site = make_algebra(*SITES[name])
+        rng = np.random.default_rng(7)
+        for length in range(1, 5):
+            if site.dim**length > 4096:
+                continue
+            # not Hermitian, so a transposed contraction cannot hide
+            factors = [random_element(site, rng) for _ in range(length)]
+            obs = LocalObservable.from_sites(site, 2, factors)
+            x = reduce(np.kron, [dense(site, f) for f in factors])
+            ref = reference_coefficients(site, x, length)
+            assert obs.coeff_tensor.shape == (site.dim**length,)
+            assert np.allclose(obs.coeff_tensor, ref, rtol=0, atol=1e-13)
+            assert obs.norm_inf == pytest.approx(np.linalg.norm(x, 2), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "name,length,hermitian",
+        [("M2", 3, True), ("M2", 3, False), ("M2+M1", 2, True), ("M2+M1", 2, False)],
+    )
+    def test_from_element_matches_dense_reference(self, name, length, hermitian):
+        site = make_algebra(*SITES[name])
+        power = reduce(lambda p, _: tensor_algebra(p, site), range(length - 1), site)
+        x = random_element(power, np.random.default_rng(8), hermitian)
+        obs = LocalObservable.from_element(site, (0, length - 1), x)
+        x_dense = dense(site, x, length)
+        ref = reference_coefficients(site, x_dense, length)
+        assert np.allclose(obs.coeff_tensor, ref, rtol=0, atol=1e-13)
+        assert obs.norm_inf == pytest.approx(np.linalg.norm(x_dense, 2), rel=1e-13)
+
+    def test_from_element_swap(self, site):
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        x = tensor_algebra(site, site).element([swap])
+        obs = LocalObservable.from_element(site, (0, 1), x)
+        ref = reference_coefficients(site, swap, 2)
+        assert np.allclose(obs.coeff_tensor, ref, rtol=0, atol=1e-13)
+        assert obs.norm_inf == pytest.approx(1.0, rel=1e-13)
+
+    def test_product_construction_builds_no_power(self, site, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a product observable built a tensor power")
+
+        monkeypatch.setattr(fcs, "tensor_algebra", refuse)
+        obs = LocalObservable.from_sites(site, 0, [pauli(site, "z")] * 6)
+        assert obs.coeff_tensor.shape == (4096,)
+        assert obs.norm_inf == pytest.approx(1.0)
 
     def test_budget_guard(self, site):
         with pytest.raises(RejectedInputError):
@@ -110,6 +213,36 @@ class TestGeneratorValidation:
         ref = predual(rand_gen.induced_phi(p))
         assert np.array_equal(ch.matrix, ref.matrix)
         assert ch.flags == ref.flags
+
+    def test_random_generator_pair_basis(self, site):
+        # the generator matrices are bit-identical to a build whose pair
+        # basis comes from tensor_element on the pair algebra
+        bond = make_algebra([3], [1.0])
+        gen = random_unital_generator(site, bond, kraus_rank=2)
+        pair = tensor_algebra(site, bond)
+        pair_mats = [
+            tensor_element(pair, site.basis_element(a), bond.basis_element(g)).blocks[0]
+            for a in range(site.dim)
+            for g in range(bond.dim)
+        ]
+        for parameter in (0, 7, 123):
+            rng = np.random.default_rng(parameter_seed(parameter))
+            for _ in range(64):
+                kraus = [
+                    rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+                    for _ in range(2)
+                ]
+                w, u = np.linalg.eigh(sum(v @ v.conj().T for v in kraus))
+                if w[0] > 1e-8 * w[-1]:
+                    break
+            inv_half = (u / np.sqrt(w)) @ u.conj().T
+            cols = [
+                bond.coefficients(
+                    bond.element([inv_half @ sum(v @ z @ v.conj().T for v in kraus) @ inv_half])
+                )
+                for z in pair_mats
+            ]
+            assert np.array_equal(gen.map_at(parameter), np.stack(cols, axis=1))
 
     def test_multiblock_random_generator_rejected(self, site):
         with pytest.raises(RejectedInputError):
