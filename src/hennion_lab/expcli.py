@@ -748,14 +748,7 @@ def cmd_fcs(config: dict, out_dir: str) -> dict:
     cov_rows = []
     for k in plan.get("covariance_shifts", [1, 2, 3]):
         dev, budget = translation_covariance_check(
-            generator,
-            driver,
-            obs_a,
-            int(k),
-            int(plan["window"]),
-            est_opts=est_opts,
-            est_seed=derive_seed(master, f"cov{k}"),
-            tols=tols,
+            generator, driver, obs_a, int(k), int(plan["window"]), tols=tols
         )
         cov_rows.append((int(k), dev, budget, int(dev <= budget + 1e-12)))
     _write_csv(
@@ -775,7 +768,6 @@ def cmd_fcs(config: dict, out_dir: str) -> dict:
             n_max=n_max,
             omega_samples=int(plan.get("omega_samples", 2)),
             window=int(plan["window"]),
-            est_opts=est_opts,
             est_seed=derive_seed(master, "birkhoff"),
             tols=tols,
         )

@@ -43,7 +43,7 @@ from .process import (
     parameter_seed,
     run_experiment,
 )
-from .qmaps import MapFlags, SuperOperator, contraction_estimate, predual, validate_flags
+from .qmaps import MapFlags, SuperOperator, certified_upper, predual, validate_flags
 
 __all__ = [
     "GeneratorMap",
@@ -210,6 +210,9 @@ class GeneratorMap:
         self._builder = builder
         self._e_cache: dict = {}
         self._phi_cache: dict = {}
+        # certified upper bounds of composed flanks, keyed on the flank's
+        # driver points (first site first) and the tolerances
+        self._cert_cache: dict = {}
         self._c1_site = on_site.coefficients(on_site.identity())
 
     def map_at(self, parameter) -> np.ndarray:
@@ -411,7 +414,12 @@ def iterate_generator(
 
 @dataclass
 class PsiEstimate:
-    """A finite-window chain-state value with its certified truncation."""
+    """A finite-window chain-state value with its certified truncation.
+
+    ``flank_certificates`` counts the flank certificates computed for this
+    value and ``flank_certificates_reused`` those the generator's
+    certificate cache supplied.
+    """
 
     value: complex
     window_N: int
@@ -419,6 +427,8 @@ class PsiEstimate:
     z_state: State
     flank_upper: float
     widen_advisory: bool
+    flank_certificates: int
+    flank_certificates_reused: int
 
 
 def _flank_evolution(
@@ -426,41 +436,45 @@ def _flank_evolution(
     driver: ErgodicDriver,
     start: int,
     stop_before: int,
-    est_opts: EstimatorOptions,
-    est_seed: int,
     flank_stride: int,
     tols: Tolerances,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, int, int]:
     """Evolve the bond probe from ``start`` up to ``stop_before - 1``.
 
-    Returns the evolved state coefficients and the certified contraction
-    upper bound of the composed flank (monotone minimum over estimates
-    computed every ``flank_stride`` steps and at the end).
+    Returns the evolved state coefficients, the certified contraction
+    upper bound of the composed flank (monotone minimum over
+    ``certified_upper`` of the flank composed so far, every
+    ``flank_stride`` steps and at the end), and the numbers of
+    certificates computed and taken from the generator's cache.  A
+    certificate depends only on the composed matrix, which the driver
+    points of the flank determine, and on the tolerances.
     """
     bond = generator.bond
-    z = bond.coefficients(bond.identity())
-    if stop_before <= start:
-        return z, 1.0
-    flank = None
-    upper = 1.0
-    steps = 0
     c1 = bond.coefficients(bond.identity())
+    if stop_before <= start:
+        return c1, 1.0, 0, 0
+    z, flank, upper = c1, None, 1.0
+    computed = reused = 0
+    points = []
     for site in range(start, stop_before):
-        gamma_mat = generator.induced_phi(driver.point_at(site)).matrix.T
+        points.append(driver.point_at(site))
+        gamma_mat = generator.induced_phi(points[-1]).matrix.T
         z = gamma_mat @ z
         z = z / np.dot(c1, z).real  # tracial up to roundoff
         flank = gamma_mat if flank is None else gamma_mat @ flank
-        steps += 1
-        if steps % flank_stride == 0 or site == stop_before - 1:
-            comp = SuperOperator(bond, flank, MapFlags(positive="yes", faithful="yes"))
-            est = contraction_estimate(
-                comp,
-                rng=np.random.default_rng(derive_seed(est_seed, f"flank:{site}")),
-                tols=tols,
-                **est_opts.call_kwargs(),
-            )
-            upper = min(upper, est.upper_bound)
-    return z, upper
+        if len(points) % flank_stride == 0 or site == stop_before - 1:
+            key = (tuple(points), tols)
+            cert = generator._cert_cache.get(key)
+            if cert is None:
+                comp = SuperOperator(bond, flank, MapFlags(positive="yes", faithful="yes"))
+                cert = min(1.0, certified_upper(comp, tols=tols).upper_bound)
+                computed += 1
+                if len(generator._cert_cache) < 512:
+                    generator._cert_cache[key] = cert
+            else:
+                reused += 1
+            upper = min(upper, cert)
+    return z, upper, computed, reused
 
 
 def psi_of_parts(
@@ -478,7 +492,12 @@ def psi_of_parts(
     Parts are consumed right to left; gaps between parts apply the induced
     bond map, and the left flank down to ``-window`` closes against the
     evolved limit-state estimate.  The truncation bound is eight times the
-    product of the part norms times the certified flank contraction.
+    product of the part norms times the certified flank contraction, which
+    comes from ``qmaps.certified_upper`` alone (Choi-matrix sandwich at the
+    fixed point, no lower-bound search) and is computed once per composed
+    flank per generator.  ``est_opts`` and ``est_seed`` are deprecated and
+    ignored: the certificate draws no random numbers and takes no search
+    options.  They stay accepted so that existing callers keep working.
     """
     if not parts:
         raise RejectedInputError("need at least one observable")
@@ -492,7 +511,6 @@ def psi_of_parts(
         raise RejectedInputError(
             f"supports [{lo},{hi}] exceed the window [-{window},{window}]"
         )
-    opts = est_opts or EstimatorOptions(n_samples=8, refine_iters=0)
     bond = generator.bond
     w = bond.coefficients(bond.identity())
     cursor = hi  # rightmost unconsumed site
@@ -501,8 +519,8 @@ def psi_of_parts(
             w = generator.induced_phi(driver.point_at(site)).matrix @ w
         w = _core_eval(generator, driver, part, w)
         cursor = part.support[0] - 1
-    z, flank_upper = _flank_evolution(
-        generator, driver, -window, lo, opts, est_seed, flank_stride, tols
+    z, flank_upper, computed, reused = _flank_evolution(
+        generator, driver, -window, lo, flank_stride, tols
     )
     value = complex(np.dot(w, z))
     norm_prod = math.prod(p.norm_inf for p in parts)
@@ -515,6 +533,8 @@ def psi_of_parts(
         z_state=z_state,
         flank_upper=flank_upper,
         widen_advisory=flank_upper > 0.5 and lo > -window,
+        flank_certificates=computed,
+        flank_certificates_reused=reused,
     )
 
 
@@ -650,9 +670,7 @@ def clustering_experiment(
         kappa = min(0.999, c_hat + 0.05)
 
     a_placed = obs_a.shifted(-obs_a.support[1])  # ends at site 0
-    value_a = psi_of_parts(
-        generator, driver, [a_placed], window, est_opts=opts, est_seed=est_seed, tols=tols
-    ).value
+    value_a = psi_of_parts(generator, driver, [a_placed], window, tols=tols).value
 
     rows = []
     for gap in gaps:
@@ -660,24 +678,8 @@ def clustering_experiment(
         if gap < 1:
             raise RejectedInputError("gaps must be >= 1")
         b_placed = obs_b.shifted(gap - obs_b.support[0])  # starts at site gap
-        joint = psi_of_parts(
-            generator,
-            driver,
-            [a_placed, b_placed],
-            window,
-            est_opts=opts,
-            est_seed=derive_seed(est_seed, f"joint{gap}"),
-            tols=tols,
-        ).value
-        value_b = psi_of_parts(
-            generator,
-            driver,
-            [b_placed],
-            window,
-            est_opts=opts,
-            est_seed=derive_seed(est_seed, f"b{gap}"),
-            tols=tols,
-        ).value
+        joint = psi_of_parts(generator, driver, [a_placed, b_placed], window, tols=tols).value
+        value_b = psi_of_parts(generator, driver, [b_placed], window, tols=tols).value
         corr = abs(joint - value_a * value_b)
         anchor = max(1, gap // 2)
         d_up, d_down = _d_prefactors_around(
@@ -782,9 +784,10 @@ def birkhoff_average(
     fixed flank window and averaged over symmetric index ranges up to
     ``n_max``; the cross-sample spread of the deepest average and the
     deviation of the average under a one-site shift of the observable are
-    reported against the combined truncation budget.
+    reported against the combined truncation budget.  ``est_seed`` seeds
+    the sampled points; ``est_opts`` is deprecated and ignored, since the
+    flank certificates of ``psi_of_parts`` take no search options.
     """
-    opts = est_opts or EstimatorOptions(n_samples=6, refine_iters=0)
     drivers = _driver_variants(driver, omega_samples, est_seed)
     n_values = list(range(1, n_max + 1))
     partials_all, limits = [], []
@@ -793,15 +796,7 @@ def birkhoff_average(
     for i, drv in enumerate(drivers):
         vals = {}
         for n in range(-n_max, n_max + 1):
-            est = psi_value(
-                generator,
-                drv.shift(n),
-                obs,
-                window,
-                est_opts=opts,
-                est_seed=derive_seed(est_seed, f"psi{i}:{n}"),
-                tols=tols,
-            )
+            est = psi_value(generator, drv.shift(n), obs, window, tols=tols)
             vals[n] = est.value
             budget = max(budget, est.truncation_bound)
         partials = np.array(
@@ -813,15 +808,7 @@ def birkhoff_average(
         partials_all.append(partials)
         limits.append(complex(partials[-1]))
         if i == 0:
-            shifted = psi_value(
-                generator,
-                drv.shift(1),
-                obs,
-                window,
-                est_opts=opts,
-                est_seed=derive_seed(est_seed, f"inv{i}"),
-                tols=tols,
-            )
+            shifted = psi_value(generator, drv.shift(1), obs, window, tols=tols)
             # one-site covariance: the shifted average equals the average of
             # the orbit values displaced by one index
             disp = np.mean([vals[n] for n in range(-n_max + 1, n_max + 1)] + [shifted.value])

@@ -60,6 +60,8 @@ __all__ = [
     "projective_action_many",
     "compose",
     "contraction_estimate",
+    "certified_upper",
+    "UpperCertificate",
     "is_strict_contraction",
     "faithfulness_check",
     "irreducibility_probe",
@@ -743,6 +745,65 @@ def _choi_sandwich(
     return lam, mu, lam_by if lam_by == mu_by else "mixed"
 
 
+@dataclass(frozen=True)
+class UpperCertificate:
+    """The search-free upper bound of ``certified_upper`` and its evidence.
+
+    ``fixed_point`` is the converged fixed point of the projective action
+    (None when the iteration did not converge within ``max_fp_iter`` steps
+    or met a kernel state), ``sandwich`` the (lam, mu) of
+    ``_choi_sandwich`` at it, ``eta = min(lam, 1/mu)``, ``method`` the
+    matrices that proved the two sides (``none``: no certificate) and
+    ``upper_bound`` the ratio bound ``(1 - r^2)/(1 + r^2)``, ``r = lam/mu``,
+    or 1 without a certificate; the defaults are the no-certificate case.
+    """
+
+    fixed_point: State | None = None
+    converged: bool = False
+    iterations: int = 0
+    eta: float = 0.0
+    sandwich: tuple[float, float] | None = None
+    method: str = "none"
+    upper_bound: float = 1.0
+
+
+def certified_upper(
+    s: SuperOperator, max_fp_iter: int = 5000, tols: Tolerances = DEFAULT_TOLS
+) -> UpperCertificate:
+    """Upper bound on the projective Lipschitz constant of a faithful positive map.
+
+    The fixed point x0 of the projective action is located by iteration
+    from the maximally mixed state, and ``_choi_sandwich`` computes the
+    largest lam and smallest mu with ``lam x0 <= s.x/tau(s.x) <= mu x0``
+    that the Choi and co-Choi matrices prove.  Any two image states y, y'
+    then satisfy ``m(y, y') >= lam/mu``, so the constant is at most
+    ``(1 - r^2)/(1 + r^2)`` with ``r = lam/mu``.  No search is involved,
+    no random number is drawn, and the bound holds for every state.
+    """
+    alg = s.algebra
+    x = alg.maximally_mixed()
+    converged = False
+    iterations = 0
+    try:
+        for iterations in range(1, max_fp_iter + 1):
+            nxt = projective_action(s, x, tols)
+            if norm(alg, nxt.element - x.element, "one") <= tols.fixed_point_tol:
+                x = nxt
+                converged = True
+                break
+            x = nxt
+    except KernelStateError:
+        converged = False
+    if not converged:
+        return UpperCertificate(iterations=iterations)
+    lam, mu, method = _choi_sandwich(s, x, tols)
+    upper = 1.0
+    if method != "none":
+        r2 = (lam / mu) ** 2
+        upper = (1.0 - r2) / (1.0 + r2)
+    return UpperCertificate(x, True, iterations, min(lam, 1.0 / mu), (lam, mu), method, upper)
+
+
 def contraction_estimate(
     s: SuperOperator,
     n_samples: int = 64,
@@ -767,13 +828,8 @@ def contraction_estimate(
     of two actual image points and hence a true lower bound of the image
     diameter.
 
-    Upper bound: the fixed point x0 of the projective action is located by
-    iteration, and ``_choi_sandwich`` computes the largest lam and smallest
-    mu with ``lam x0 <= s.x/tau(s.x) <= mu x0`` that the Choi and co-Choi
-    matrices prove.  Any two image states y, y' then satisfy
-    ``m(y, y') >= lam/mu``, so the Lipschitz constant is at most
-    ``(1 - r^2)/(1 + r^2)`` with ``r = lam/mu``.  No search is involved and
-    the bound holds for every state, not only for sampled ones.
+    Upper bound: ``certified_upper``, run when the lower bound is at most
+    ``1 - 1e-9``, and clamped into ``[lower_bound, 1]``.
     """
     if faithfulness_check(s, tols) != YES:
         raise HypothesisViolationError(
@@ -782,9 +838,6 @@ def contraction_estimate(
     alg = s.algebra
     if rng is None:
         rng = np.random.default_rng(0)
-
-    def image(x: State) -> State:
-        return projective_action(s, x, tols)
 
     singular = 0
 
@@ -887,47 +940,23 @@ def contraction_estimate(
             AlgebraElement(alg, best_images[0]), AlgebraElement(alg, best_images[1]), tols
         )
 
-    # fixed point by iteration
-    fixed_point = None
-    converged = False
-    fp_iters = 0
+    cert = UpperCertificate()
     if lower <= 1.0 - 1e-9:
-        x = alg.maximally_mixed()
-        try:
-            for fp_iters in range(1, max_fp_iter + 1):
-                nxt = image(x)
-                if norm(alg, nxt.element - x.element, "one") <= tols.fixed_point_tol:
-                    x = nxt
-                    converged = True
-                    break
-                x = nxt
-        except KernelStateError:
-            converged = False
-        if converged:
-            fixed_point = x
-
-    eta, sandwich, method, upper = 0.0, None, "none", 1.0
-    if fixed_point is not None:
-        lam, mu, method = _choi_sandwich(s, fixed_point, tols)
-        sandwich, eta = (lam, mu), min(lam, 1.0 / mu)
-        if method != "none":
-            r2 = (lam / mu) ** 2
-            upper = (1.0 - r2) / (1.0 + r2)
-    upper = min(1.0, max(upper, lower))
+        cert = certified_upper(s, max_fp_iter, tols)
 
     return ContractionEstimate(
         lower_bound=float(lower),
-        upper_bound=float(upper),
-        fixed_point=fixed_point,
-        eta=eta,
+        upper_bound=float(min(1.0, max(cert.upper_bound, lower))),
+        fixed_point=cert.fixed_point,
+        eta=cert.eta,
         n_samples=n_samples,
         refine_iters=refine_iters,
-        fixed_point_converged=converged,
-        fixed_point_iterations=fp_iters,
-        convergence_error=(not converged) and lower < 1.0 - 1e-9,
+        fixed_point_converged=cert.converged,
+        fixed_point_iterations=cert.iterations,
+        convergence_error=(not cert.converged) and lower < 1.0 - 1e-9,
         best_pair=best_pair,
-        sandwich=sandwich,
-        upper_method=method,
+        sandwich=cert.sandwich,
+        upper_method=cert.method,
         singular_pairs=singular,
     )
 

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS/OpenMP thread, as in CI: the kernels are 2x2 to 4x4 matrices, so
+# extra threads only contend for the cores.  This runs before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -13,6 +14,7 @@ from hennion_lab import (
     tensor_element,
     trace,
 )
+from hennion_lab.config import DEFAULT_TOLS
 from hennion_lab.errors import RejectedInputError
 from hennion_lab.fcs import (
     LocalObservable,
@@ -26,8 +28,15 @@ from hennion_lab.fcs import (
     random_unital_generator,
     translation_covariance_check,
 )
-from hennion_lab.process import ErgodicDriver, parameter_seed
-from hennion_lab.qmaps import predual
+from hennion_lab.fcs import _flank_evolution
+from hennion_lab.process import EstimatorOptions, ErgodicDriver, derive_seed, parameter_seed
+from hennion_lab.qmaps import (
+    MapFlags,
+    SuperOperator,
+    certified_upper,
+    contraction_estimate,
+    predual,
+)
 
 
 @pytest.fixture
@@ -312,12 +321,9 @@ class TestPsiValue:
         # values are unital, positive on positives, norm-bounded; the flank
         # at the shared support site is evolved once and reused so a
         # thousand observables stay cheap
-        from hennion_lab.config import DEFAULT_TOLS
-        from hennion_lab.fcs import _core_eval, _flank_evolution
-        from hennion_lab.process import EstimatorOptions
+        from hennion_lab.fcs import _core_eval
 
-        opts = EstimatorOptions(n_samples=6, refine_iters=0, eta_samples=6)
-        z, _ = _flank_evolution(rand_gen, iid, -12, 0, opts, 0, 5, DEFAULT_TOLS)
+        z = _flank_evolution(rand_gen, iid, -12, 0, 5, DEFAULT_TOLS)[0]
         rng = np.random.default_rng(12)
         for _ in range(1000):
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -350,6 +356,145 @@ class TestPsiValue:
         b = LocalObservable.from_sites(site, 0, [pauli(site, "x")])
         with pytest.raises(RejectedInputError):
             psi_of_parts(rand_gen, iid, [a, b], window=8)
+
+
+def _parent_flank_evolution(generator, driver, start, stop_before, est_opts, est_seed, stride):
+    """The flank loop before certificates: the minimum over checkpoints of a
+    full contraction_estimate's (clamped) upper bound, one rng per site."""
+    bond = generator.bond
+    c1 = bond.coefficients(bond.identity())
+    z, flank, upper = c1, None, 1.0
+    for steps, site in enumerate(range(start, stop_before), start=1):
+        gamma_mat = generator.induced_phi(driver.point_at(site)).matrix.T
+        z = gamma_mat @ z
+        z = z / np.dot(c1, z).real
+        flank = gamma_mat if flank is None else gamma_mat @ flank
+        if steps % stride == 0 or site == stop_before - 1:
+            comp = SuperOperator(bond, flank, MapFlags(positive="yes", faithful="yes"))
+            est = contraction_estimate(
+                comp,
+                rng=np.random.default_rng(derive_seed(est_seed, f"flank:{site}")),
+                tols=DEFAULT_TOLS,
+                **est_opts.call_kwargs(),
+            )
+            upper = min(upper, est.upper_bound)
+    return z, upper
+
+
+DRIVERS = {
+    "iid_shift": ErgodicDriver("iid_shift", master_seed=4242),
+    "cyclic": ErgodicDriver("cyclic", master_seed=77, period=3),
+    "rotation": ErgodicDriver("rotation", alpha=(np.sqrt(5) - 1) / 2, omega0=0.3),
+    "constant": ErgodicDriver("constant"),
+}
+
+
+class TestFlankCertificates:
+    @pytest.mark.parametrize("kraus_rank", [2, 3])
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    @pytest.mark.parametrize("stride", [1, 5])
+    @pytest.mark.parametrize("window", [6, 12])
+    def test_matches_search_based_flank(self, site, bond, kraus_rank, driver, stride, window):
+        gen = random_unital_generator(site, bond, kraus_rank=kraus_rank)
+        opts = EstimatorOptions(n_samples=8, refine_iters=0)
+        z_ref, upper_ref = _parent_flank_evolution(
+            gen, DRIVERS[driver], -window, 0, opts, 11, stride
+        )
+        z, upper, computed, reused = _flank_evolution(
+            gen, DRIVERS[driver], -window, 0, stride, DEFAULT_TOLS
+        )
+        assert np.array_equal(z, z_ref)
+        assert upper == upper_ref
+        assert computed == -(-window // stride) and reused == 0
+
+    def test_estimator_arguments_ignored(self, rand_gen, iid, site):
+        obs = LocalObservable.from_sites(site, -1, [pauli(site, "z"), pauli(site, "x")])
+        a = psi_value(rand_gen, iid, obs, window=10, est_seed=1)
+        b = psi_value(
+            random_unital_generator(site, rand_gen.bond, kraus_rank=3),
+            iid,
+            obs,
+            window=10,
+            est_opts=EstimatorOptions(n_samples=20, refine_iters=5, polish=True),
+            est_seed=987,
+        )
+        assert a.value == b.value and a.truncation_bound == b.truncation_bound
+
+    def test_generators_share_no_entries(self, site, bond, iid):
+        obs = LocalObservable.from_sites(site, 0, [pauli(site, "z")])
+        first = random_unital_generator(site, bond, kraus_rank=3)
+        other = random_unital_generator(site, bond, kraus_rank=2)
+        psi_value(first, iid, obs, window=12)
+        est = psi_value(other, iid, obs, window=12)
+        assert est.flank_certificates == 3 and est.flank_certificates_reused == 0
+        fresh = psi_value(random_unital_generator(site, bond, kraus_rank=2), iid, obs, window=12)
+        assert est.flank_upper == fresh.flank_upper
+
+    def test_tolerances_are_part_of_the_key(self, rand_gen, iid, site):
+        obs = LocalObservable.from_sites(site, 0, [pauli(site, "z")])
+        psi_value(rand_gen, iid, obs, window=12)
+        tols = replace(DEFAULT_TOLS, fixed_point_tol=1e-11)
+        est = psi_value(rand_gen, iid, obs, window=12, tols=tols)
+        assert (est.flank_certificates, est.flank_certificates_reused) == (3, 0)
+        again = psi_value(rand_gen, iid, obs, window=12, tols=tols)
+        assert (again.flank_certificates, again.flank_certificates_reused) == (0, 3)
+
+    def test_shifted_driver_reuses_shared_points(self, rand_gen, iid, site):
+        # the flank of the shifted driver at window 14 starts at the same
+        # point as the unshifted one at window 12 and runs two sites longer
+        obs = LocalObservable.from_sites(site, 0, [pauli(site, "z")])
+        psi_value(rand_gen, iid, obs, window=12)
+        est = psi_value(rand_gen, iid.shift(2), obs, window=14)
+        assert (est.flank_certificates, est.flank_certificates_reused) == (1, 2)
+        same = psi_value(rand_gen, iid.shift(2), obs.shifted(-2), window=14)
+        assert (same.flank_certificates, same.flank_certificates_reused) == (0, 3)
+
+    def test_cached_value_is_bit_equal_to_fresh(self, rand_gen, iid, site):
+        a = LocalObservable.from_sites(site, 0, [pauli(site, "z")])
+        b = LocalObservable.from_sites(site, 3, [pauli(site, "x")])
+        psi_value(rand_gen, iid, a, window=12)
+        warm = psi_of_parts(rand_gen, iid, [a, b], window=12)
+        fresh = psi_of_parts(
+            random_unital_generator(site, rand_gen.bond, kraus_rank=3), iid, [a, b], window=12
+        )
+        assert warm.flank_certificates == 0 and warm.flank_certificates_reused == 3
+        assert fresh.flank_certificates == 3 and fresh.flank_certificates_reused == 0
+        for field_name in ("value", "truncation_bound", "flank_upper", "widen_advisory"):
+            assert getattr(warm, field_name) == getattr(fresh, field_name)
+        assert np.array_equal(warm.z_state.element.blocks[0], fresh.z_state.element.blocks[0])
+
+    def test_clustering_joint_values_reuse(self, site, bond, monkeypatch):
+        calls = []
+
+        def spy(generator, driver, parts, window, **kwargs):
+            est = psi_of_parts(generator, driver, parts, window, **kwargs)
+            calls.append((len(parts), est))
+            return est
+
+        monkeypatch.setattr(fcs, "psi_of_parts", spy)
+        clustering_experiment(
+            random_unital_generator(site, bond, kraus_rank=2),
+            ErgodicDriver("iid_shift", master_seed=99),
+            LocalObservable.from_sites(site, 0, [pauli(site, "z"), pauli(site, "x")]),
+            LocalObservable.from_sites(site, 0, [pauli(site, "x")]),
+            gaps=[1, 2, 3],
+            window=12,
+            pre_run_length=10,
+        )
+        joint = [est for n, est in calls if n == 2]
+        assert len(joint) == 3
+        for est in joint:
+            assert est.flank_certificates == 0 and est.flank_certificates_reused > 0
+
+    def test_product_generator_flank_does_not_contract(self, site, bond, iid):
+        gen = product_generator(site, bond)
+        a = site.element([np.diag([2.0, -0.5])])
+        est = psi_value(gen, iid, LocalObservable.from_sites(site, 0, [a]), window=8)
+        assert est.flank_upper == 1.0
+        assert est.truncation_bound == 8.0 * norm(site, a, "inf")
+        cert = certified_upper(gen.induced_phi(iid.point_at(0)))
+        assert cert.converged and cert.iterations == 1
+        assert cert.method == "none" and cert.upper_bound == 1.0
 
 
 class TestCovariance:
