@@ -538,7 +538,6 @@ def cmd_contraction(
         n_samples=n_samples,
         refine_iters=refine,
         rng=np.random.default_rng(derive_seed(seed, "contraction")),
-        polish=True,
         tols=tols,
     )
     report = {
@@ -647,6 +646,7 @@ def cmd_process(config: dict, out_dir: str) -> dict:
                 "nu_optimistic": rec.nu_optimistic,
                 "sup_dual_inverse": rec.sup_dual_inverse,
                 "convergence_errors": rec.convergence_errors,
+                "cheap_lower_skips": rec.cheap_lower_skips,
                 "collapse": collapse,
                 "hypothesis_flag": rec.nu_certified is None,
             }

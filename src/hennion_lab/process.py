@@ -376,6 +376,7 @@ class ProcessRecord:
     est_rng_seed: int = 0
     renorm_stride: int = 25
     convergence_errors: int = 0
+    cheap_lower_skips: int = 0  # pairs _cheap_lower dropped because a check failed
     sup_dual_inverse: float = 0.0  # running sup of ||dual(composed)(composed(1)^-1)||_inf
 
     @property
@@ -421,13 +422,13 @@ def _cheap_lower(record: ProcessRecord, tols: Tolerances, n_pairs: int = 6) -> f
         return best(slice(None))
     except HennionLabError:
         pass
-    # one pair at a time: a pair whose images fail a check is skipped
+    # one pair at a time: a pair whose images fail a check is skipped, and counted
     out = 0.0
     for k in range(n_pairs):
         try:
             out = max(out, best(slice(k, k + 1)))
         except HennionLabError:
-            continue
+            record.cheap_lower_skips += 1
     return out
 
 

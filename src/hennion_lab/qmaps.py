@@ -659,12 +659,16 @@ def _ascend(
     evaluates the 2·dim(z) central-difference points as one stack, then the
     full trial step alone and, only when it does not improve, the 19
     halvings after it as one stack; the first trial that improves wins.
+    A trial improves only when it beats the current value by more than
+    64 machine epsilons of ``max(|f|, 1)``: smaller gains are roundoff in
+    the objective, so the ascent stops when no trial clears that margin.
     """
     z = z0 / np.linalg.norm(z0)
     f = objective(z[None])[0]
     h = 1e-6
     shifts = h * np.eye(len(z))
     trials = step_size * 0.5 ** np.arange(20)
+    eps = float(np.finfo(float).eps)
     for _ in range(steps):
         vals = objective(np.concatenate([z + shifts, z - shifts]))
         g = (vals[: len(z)] - vals[len(z) :]) / (2 * h)
@@ -673,10 +677,11 @@ def _ascend(
             break
         zt = z + trials[:, None] * g / gn
         zt = zt / np.linalg.norm(zt, axis=1)[:, None]
+        target = f + 64.0 * eps * max(abs(f), 1.0)
         ft = objective(zt[:1])
-        if not ft[0] > f:
+        if not ft[0] > target:
             ft = np.concatenate([ft, objective(zt[1:])])
-        better = np.flatnonzero(ft > f)
+        better = np.flatnonzero(ft > target)
         if better.size == 0:
             break
         z, f = zt[better[0]], ft[better[0]]
@@ -684,21 +689,21 @@ def _ascend(
 
 
 def minimize(*args, **kwargs):
-    """scipy's ``minimize``, imported on first use: only ``_polish`` needs it."""
+    """scipy's ``minimize``, imported on first use: only the opt-in ``_polish`` needs it."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
 
 
-def _polish(objective, z0: np.ndarray, maximize: bool) -> tuple[np.ndarray, float]:
-    sign = -1.0 if maximize else 1.0
+def _polish(objective, z0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nelder-Mead maximization of ``objective`` from ``z0``."""
     res = minimize(
-        lambda z: sign * objective(z),
+        lambda z: -objective(z),
         z0,
         method="Nelder-Mead",
         options={"fatol": 1e-13, "xatol": 1e-9, "maxiter": 1200, "maxfev": 2400},
     )
-    return res.x, sign * res.fun
+    return res.x, -res.fun
 
 
 def _choi_sandwich(
@@ -809,23 +814,26 @@ def contraction_estimate(
     n_samples: int = 64,
     refine_iters: int = 50,
     rng: np.random.Generator | None = None,
-    polish: bool = True,
-    include_axis_probes: bool = True,
+    polish: bool = False,
     max_fp_iter: int = 5000,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> ContractionEstimate:
     """Bracket the projective Lipschitz constant of a faithful positive map.
 
-    Lower bound: the distance between projective images is evaluated on
-    sampled pairs of boundary and pure states (plus a deterministic set of
-    axis-aligned pure states) and ascended over pure-state vectors with
-    projected gradients.  Each phase evaluates its pairs as one stack with
-    ``projective_action_many`` and ``hennion_distance_many`` (the axis
-    pairs, the random pairs, the pure candidates, the gradient points of an
-    ascent step and its trial steps), keeping the choices and the rng order
-    of a pair-by-pair search.  The winning pair is re-evaluated once with
-    the scalar ``hennion_distance``, so the reported bound is the distance
-    of two actual image points and hence a true lower bound of the image
+    Lower bound: the distance between projective images is searched in
+    four phases: pairs of a deterministic set of axis-aligned pure states,
+    ``n_samples`` random pairs of boundary and pure states, random
+    pure-state candidates (when no axis pair won), and a projected-gradient
+    ascent over pure-state vectors (``_ascend``, at most ``refine_iters``
+    steps, stopping when no step gains more than roundoff).  With
+    ``polish=True`` a Nelder-Mead polish (scipy, imported on first use)
+    follows the ascent; it is off by default, since it rarely moves the
+    bound and costs several times the rest of the search.  Each phase
+    evaluates its pairs as one stack with ``projective_action_many`` and
+    ``hennion_distance_many``, keeping the choices and the rng order of a
+    pair-by-pair search.  The winning pair is re-evaluated once with the
+    scalar ``hennion_distance``, so the reported bound is the distance of
+    two actual image points and hence a true lower bound of the image
     diameter.
 
     Upper bound: ``certified_upper``, run when the lower bound is at most
@@ -856,7 +864,7 @@ def contraction_estimate(
     best_pair = None
     best_images = None  # the image blocks of best_pair
 
-    axis = _axis_pure_vectors(alg) if include_axis_probes else []
+    axis = _axis_pure_vectors(alg)
     if len(axis) > 1:
         axis_images = projective_action_many(s, _pure_stack(alg, axis), tols)
         ii, jj = np.triu_indices(len(axis), 1)  # pairs i < j, row by row
@@ -924,7 +932,7 @@ def contraction_estimate(
         z0 = np.concatenate([_pack(va / np.linalg.norm(va)), _pack(vb / np.linalg.norm(vb))])
         z, f = _ascend(objective, z0, refine_iters)
         if polish:
-            z, f = _polish(lambda z: objective(z[None])[0], z, maximize=True)
+            z, f = _polish(lambda z: objective(z[None])[0], z)
         if f > lower:
             best_pair = (
                 (ba, _unpack(z[: 2 * na])),
@@ -1018,9 +1026,7 @@ def _proj_candidates(
             cands.append(AlgebraElement(alg, blocks))
     # spectral structure of the fixed point (or of s(1))
     try:
-        est = contraction_estimate(
-            s, n_samples=8, refine_iters=0, rng=rng, polish=False, tols=tols
-        )
+        est = contraction_estimate(s, n_samples=8, refine_iters=0, rng=rng, tols=tols)
         anchor = est.fixed_point.element if est.fixed_point else s.apply(alg.identity())
     except HypothesisViolationError:
         anchor = s.apply(alg.identity())

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hennion_lab import make_algebra
+from hennion_lab import make_algebra, qmaps
 from hennion_lab.algebra import save_element
 from hennion_lab.expcli import (
     cmd_contraction,
@@ -112,6 +112,33 @@ class TestContractionCommand:
         assert report["upper_method"] == "choi"
         assert os.path.exists(report["fixed_point_path"])
 
+    def test_default_search_needs_no_polish(self, tmp_path, monkeypatch):
+        # depolarizing(q) on M3 as Kraus operators sqrt(q) 1 and sqrt((1-q)/3) E_ij;
+        # a pure state goes to eigenvalues alpha, beta, beta
+        q, n = 0.5, 3
+        ops = [np.sqrt(q) * np.eye(n)]
+        for i in range(n):
+            for j in range(n):
+                e = np.zeros((n, n))
+                e[i, j] = np.sqrt((1 - q) / 3)
+                ops.append(e)
+        payload = {
+            "kind": "kraus",
+            "algebra": {"dims": [n], "weights": [1.0]},
+            "operators": [[[[[x, 0.0] for x in r] for r in op]] for op in ops],
+        }
+        path = write_map(tmp_path / "dep3.json", payload)
+
+        def no_polish(*args, **kwargs):
+            raise AssertionError("the default search ran the Nelder-Mead polish")
+
+        monkeypatch.setattr(qmaps, "minimize", no_polish)
+        report = cmd_contraction(path)
+        alpha, beta = q + (1 - q) / 3, (1 - q) / 3
+        exact = (alpha**2 - beta**2) / (alpha**2 + beta**2)
+        assert report["lower"] == pytest.approx(exact, rel=1e-9)
+        assert report["lower"] <= report["upper"]
+
     def test_kraus_map_file(self, tmp_path):
         payload = {
             "kind": "kraus",
@@ -153,6 +180,7 @@ class TestProcessCommand:
         out = tmp_path / "run"
         summary = cmd_process(dict(PROCESS_CONFIG), str(out))
         assert summary["streams"][0]["C"] == pytest.approx(0.5, abs=1e-3)
+        assert summary["streams"][0]["cheap_lower_skips"] == 0
         names = sorted(os.listdir(out))
         assert "runs.csv" in names and "summary.json" in names
         assert "manifest.json" in names and "c_of_length.dat" in names

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hennion_lab import norm, random_state, trace
+from hennion_lab import norm, process, random_state, trace
 from hennion_lab.errors import (
+    DegeneratePairError,
     InvertibilityViolationError,
     NotEnoughDataError,
     RejectedInputError,
@@ -398,6 +399,29 @@ class TestRunExperiment:
         assert any(not e.exact for e in entries)
         uppers = [e.upper for e in entries]
         assert all(b <= a + 1e-12 for a, b in zip(uppers, uppers[1:]))
+
+    def test_cheap_lower_skips_counted(self, qubit, monkeypatch):
+        distance_many = process.hennion_distance_many
+        calls = []
+
+        def failing_odd_pairs(alg, ya, yb, tols):
+            # the stacked call fails, then every other single pair does
+            calls.append(len(ya[0]))
+            if len(ya[0]) > 1 or len(calls) % 2:
+                raise DegeneratePairError("probe")
+            return distance_many(alg, ya, yb, tols)
+
+        monkeypatch.setattr(process, "hennion_distance_many", failing_odd_pairs)
+        ens = ChannelEnsemble.constant(depolarizing_channel(qubit, 0.4))
+        opts = EstimatorOptions(n_samples=8, refine_iters=0, stride=5)
+        res = run_experiment(
+            ErgodicDriver("constant"), ens, ProcessPlan(m_start=1, n_end=20, stride=5),
+            est_opts=opts,
+        )
+        cheap = sum(not e.exact for e in res.record.c_trace)
+        assert cheap > 0
+        assert calls.count(1) == 6 * cheap
+        assert res.record.cheap_lower_skips == 3 * cheap
 
     def test_sup_condition_logged(self, qubit):
         ens = ChannelEnsemble.random_kraus(qubit, k=2, mix_eps=0.4)

@@ -12,6 +12,7 @@ from hennion_lab import (
     random_state,
     trace,
 )
+from hennion_lab import qmaps
 from hennion_lab.errors import (
     HypothesisViolationError,
     KernelStateError,
@@ -369,6 +370,34 @@ class TestContractionEstimate:
             ) == pytest.approx(hennion_distance(x, y), abs=1e-10)
         est = contraction_estimate(s, n_samples=16, refine_iters=0, rng=rng)
         assert is_strict_contraction(s, est) == "certified_no"
+
+    def test_ascent_stops_at_roundoff(self, qubit, monkeypatch):
+        # 56 depolarizing(0.5) steps: the image diameter is about 2^-55, so
+        # every gain the ascent could find is roundoff in the objective
+        s = depolarizing_channel(qubit, 0.5)
+        for _ in range(55):
+            s = compose(depolarizing_channel(qubit, 0.5), s)
+        stacks = []
+        ascend = qmaps._ascend
+
+        def counting(objective, z0, steps, **kwargs):
+            def counted(zs):
+                stacks.append(len(zs))
+                return objective(zs)
+
+            return ascend(counted, z0, steps, **kwargs)
+
+        monkeypatch.setattr(qmaps, "_ascend", counting)
+        for seed in range(2, 8):
+            stacks.clear()
+            est = contraction_estimate(
+                s, n_samples=8, refine_iters=50, rng=np.random.default_rng(seed)
+            )
+            assert est.upper_bound < 1e-13
+            assert 0.0 <= est.lower_bound <= est.upper_bound
+            # the start, one gradient stack (2 x 8 real coordinates), then the
+            # full trial step and its 19 halvings, none clearing roundoff
+            assert stacks == [1, 16, 1, 19], seed
 
 
 class TestChoiCertificate:
