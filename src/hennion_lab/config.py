@@ -37,8 +37,6 @@ class Tolerances:
     m_product_floor:
         Below this value the product of the two order coefficients is
         treated as exactly zero and the distance reported as exactly one.
-    fixed_point_tol:
-        Trace-norm stopping threshold of the fixed-point iteration.
     cert_margin:
         Extra relative back-off on the sandwich constants lam and mu of the
         contraction certificate, on top of the fixed 64 machine epsilons
@@ -53,7 +51,6 @@ class Tolerances:
     kernel_tol: float = 1e-12
     state_eq_tol: float = 1e-8
     m_product_floor: float = 1e-15
-    fixed_point_tol: float = 1e-12
     cert_margin: float = 0.0
 
     def with_overrides(self, **kwargs: float) -> "Tolerances":

@@ -72,7 +72,6 @@ from .qmaps import (
     SuperOperator,
     contraction_estimate,
     depolarizing_channel,
-    faithfulness_check,
     from_kraus,
     from_matrix,
     from_strongly_summable,
@@ -173,7 +172,6 @@ _TOLERANCES_SCHEMA = {
             "kernel_tol",
             "state_eq_tol",
             "m_product_floor",
-            "fixed_point_tol",
             "cert_margin",
         )
     },
@@ -197,7 +195,6 @@ PROCESS_CONFIG_SCHEMA = {
                 "probes": {"type": "integer", "minimum": 2},
                 "kappa": {"type": ["number", "null"]},
                 "streams": {"type": "integer", "minimum": 1},
-                "stride": {"type": "integer", "minimum": 1},
                 "burn_in": {"type": ["integer", "null"]},
             },
             "required": ["m_start", "n_end"],
@@ -527,12 +524,6 @@ def cmd_contraction(
 ) -> dict:
     """Certified contraction interval of a map file."""
     s = load_map_file(map_file)
-    if faithfulness_check(s, tols) != "yes":
-        raise HypothesisViolationError(
-            "map is not faithful: the dual image of the identity is singular"
-            " and the product-span rank test fails, so the projective action"
-            " has kernel states"
-        )
     est = contraction_estimate(
         s,
         n_samples=n_samples,
@@ -573,7 +564,6 @@ def cmd_process(config: dict, out_dir: str) -> dict:
         probes=int(plan_spec.get("probes", 3)),
         kappa=plan_spec.get("kappa"),
         streams=int(plan_spec.get("streams", 1)),
-        stride=int(plan_spec.get("stride", 1)),
         burn_in=plan_spec.get("burn_in"),
     )
     observable = _build_observable(config.get("observable"), alg)

@@ -436,45 +436,38 @@ def _flank_evolution(
     driver: ErgodicDriver,
     start: int,
     stop_before: int,
-    flank_stride: int,
     tols: Tolerances,
 ) -> tuple[np.ndarray, float, int, int]:
     """Evolve the bond probe from ``start`` up to ``stop_before - 1``.
 
     Returns the evolved state coefficients, the certified contraction
-    upper bound of the composed flank (monotone minimum over
-    ``certified_upper`` of the flank composed so far, every
-    ``flank_stride`` steps and at the end), and the numbers of
-    certificates computed and taken from the generator's cache.  A
-    certificate depends only on the composed matrix, which the driver
-    points of the flank determine, and on the tolerances.
+    upper bound of the composed flank (``certified_upper`` of the whole
+    flank, taken once at its full length), and the numbers of
+    certificates computed and taken from the generator's cache (one of
+    the two is 1).  A certificate depends only on the composed matrix,
+    which the driver points of the flank determine, and on the
+    tolerances.
     """
     bond = generator.bond
     c1 = bond.coefficients(bond.identity())
     if stop_before <= start:
         return c1, 1.0, 0, 0
-    z, flank, upper = c1, None, 1.0
-    computed = reused = 0
-    points = []
-    for site in range(start, stop_before):
-        points.append(driver.point_at(site))
-        gamma_mat = generator.induced_phi(points[-1]).matrix.T
+    z, flank = c1, None
+    points = tuple(driver.point_at(site) for site in range(start, stop_before))
+    for point in points:
+        gamma_mat = generator.induced_phi(point).matrix.T
         z = gamma_mat @ z
         z = z / np.dot(c1, z).real  # tracial up to roundoff
         flank = gamma_mat if flank is None else gamma_mat @ flank
-        if len(points) % flank_stride == 0 or site == stop_before - 1:
-            key = (tuple(points), tols)
-            cert = generator._cert_cache.get(key)
-            if cert is None:
-                comp = SuperOperator(bond, flank, MapFlags(positive="yes", faithful="yes"))
-                cert = min(1.0, certified_upper(comp, tols=tols).upper_bound)
-                computed += 1
-                if len(generator._cert_cache) < 512:
-                    generator._cert_cache[key] = cert
-            else:
-                reused += 1
-            upper = min(upper, cert)
-    return z, upper, computed, reused
+    key = (points, tols)
+    upper = generator._cert_cache.get(key)
+    if upper is not None:
+        return z, upper, 0, 1
+    comp = SuperOperator(bond, flank, MapFlags(positive="yes", faithful="yes"))
+    upper = min(1.0, certified_upper(comp, tols=tols).upper_bound)
+    if len(generator._cert_cache) < 512:
+        generator._cert_cache[key] = upper
+    return z, upper, 1, 0
 
 
 def psi_of_parts(
@@ -484,7 +477,6 @@ def psi_of_parts(
     window: int,
     est_opts: EstimatorOptions | None = None,
     est_seed: int = 0,
-    flank_stride: int = 5,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> PsiEstimate:
     """Chain-state value of a product of observables with disjoint supports.
@@ -494,10 +486,11 @@ def psi_of_parts(
     evolved limit-state estimate.  The truncation bound is eight times the
     product of the part norms times the certified flank contraction, which
     comes from ``qmaps.certified_upper`` alone (Choi-matrix sandwich at the
-    fixed point, no lower-bound search) and is computed once per composed
-    flank per generator.  ``est_opts`` and ``est_seed`` are deprecated and
-    ignored: the certificate draws no random numbers and takes no search
-    options.  They stay accepted so that existing callers keep working.
+    Perron state, no lower-bound search), taken once at the flank's full
+    length and computed once per composed flank per generator.
+    ``est_opts`` and ``est_seed`` are deprecated and ignored: the
+    certificate draws no random numbers and takes no search options.  They
+    stay accepted so that existing callers keep working.
     """
     if not parts:
         raise RejectedInputError("need at least one observable")
@@ -520,7 +513,7 @@ def psi_of_parts(
         w = _core_eval(generator, driver, part, w)
         cursor = part.support[0] - 1
     z, flank_upper, computed, reused = _flank_evolution(
-        generator, driver, -window, lo, flank_stride, tols
+        generator, driver, -window, lo, tols
     )
     value = complex(np.dot(w, z))
     norm_prod = math.prod(p.norm_inf for p in parts)

@@ -784,7 +784,6 @@ class ProcessPlan:
     probes: int = 3
     kappa: float | None = None
     streams: int = 1
-    stride: int = 1
     burn_in: int | None = None
 
     def __post_init__(self):
@@ -820,7 +819,7 @@ def run_experiment(
     alg = ensemble.algebra
     if observable is None:
         observable = alg.basis_element(min(1, alg.dim - 1))
-    opts = est_opts or EstimatorOptions(stride=plan.stride)
+    opts = est_opts or EstimatorOptions()
     rng = np.random.default_rng(derive_seed(probe_seed, "probes"))
     probes = [
         random_state(alg, kind, rng, tols=tols)

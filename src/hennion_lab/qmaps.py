@@ -6,7 +6,7 @@ the adjoint with respect to it is a plain matrix transpose.  The projective
 action of a faithful positive map on states is nonexpansive for the
 projective metric; ``contraction_estimate`` brackets its Lipschitz constant
 between a sampled image diameter (lower bound) and a certificate derived
-from an operator sandwich around the fixed point (upper bound).  The
+from an operator sandwich around the Perron state (upper bound).  The
 sandwich constants are generalized eigenvalues of block-component Choi and
 co-Choi matrices, so the upper bound is computed, not searched for.
 """
@@ -61,6 +61,7 @@ __all__ = [
     "compose",
     "contraction_estimate",
     "certified_upper",
+    "perron_state",
     "UpperCertificate",
     "is_strict_contraction",
     "faithfulness_check",
@@ -585,14 +586,17 @@ class ContractionEstimate:
     the pairs of the search whose images were not both invertible and so
     took the exact support-restricted distance one at a time.
     ``upper_bound`` comes from the sandwich
-    ``lam*T <= s <= mu*T`` around ``T(x) = tau(s*(1) x) x0`` at the fixed
-    point x0: every image state lies in ``[lam*x0, mu*x0]``, so the constant
-    is at most ``(1 - r^2)/(1 + r^2)`` with ``r = lam/mu``, clamped into
-    [lower_bound, 1].  ``sandwich`` holds (lam, mu) when a fixed point was
-    found, ``eta = min(lam, 1/mu)`` is the symmetric constant of
-    ``eta x0 <= s.x <= eta^-1 x0``, and ``upper_method`` names the matrices
-    that proved the two sides: ``choi``, ``co_choi``, ``mixed`` (one each)
-    or ``none`` (no certificate, upper bound 1).
+    ``lam*T <= s <= mu*T`` around ``T(x) = tau(s*(1) x) x0`` at the Perron
+    state x0 (``perron_state``): every image state lies in
+    ``[lam*x0, mu*x0]``, so the constant is at most ``(1 - r^2)/(1 + r^2)``
+    with ``r = lam/mu``, clamped into [lower_bound, 1].  ``sandwich`` holds
+    (lam, mu) when x0 is a state, ``eta = min(lam, 1/mu)`` is the symmetric
+    constant of ``eta x0 <= s.x <= eta^-1 x0``, and ``upper_method`` names
+    the matrices that proved the two sides: ``choi``, ``co_choi``, ``mixed``
+    (one each) or ``none`` (no certificate, upper bound 1).
+    ``fixed_point_converged`` means x0 is a state, ``convergence_error``
+    that the certificate ran and it was not, and ``fixed_point_iterations``
+    is always 0: x0 comes from one eigenvector, not an iteration.
     """
 
     lower_bound: float
@@ -754,59 +758,67 @@ def _choi_sandwich(
 class UpperCertificate:
     """The search-free upper bound of ``certified_upper`` and its evidence.
 
-    ``fixed_point`` is the converged fixed point of the projective action
-    (None when the iteration did not converge within ``max_fp_iter`` steps
-    or met a kernel state), ``sandwich`` the (lam, mu) of
-    ``_choi_sandwich`` at it, ``eta = min(lam, 1/mu)``, ``method`` the
-    matrices that proved the two sides (``none``: no certificate) and
-    ``upper_bound`` the ratio bound ``(1 - r^2)/(1 + r^2)``, ``r = lam/mu``,
-    or 1 without a certificate; the defaults are the no-certificate case.
+    ``fixed_point`` is the Perron state x0 of ``perron_state`` (None when
+    the Perron vector is not a state or its image is a kernel state),
+    ``sandwich`` the (lam, mu) of ``_choi_sandwich`` at it,
+    ``eta = min(lam, 1/mu)``, ``method`` the matrices that proved the two
+    sides (``none``: no certificate) and ``upper_bound`` the ratio bound
+    ``(1 - r^2)/(1 + r^2)``, ``r = lam/mu``, or 1 without a certificate;
+    the defaults are the no-certificate case.
     """
 
     fixed_point: State | None = None
-    converged: bool = False
-    iterations: int = 0
     eta: float = 0.0
     sandwich: tuple[float, float] | None = None
     method: str = "none"
     upper_bound: float = 1.0
 
 
-def certified_upper(
-    s: SuperOperator, max_fp_iter: int = 5000, tols: Tolerances = DEFAULT_TOLS
-) -> UpperCertificate:
-    """Upper bound on the projective Lipschitz constant of a faithful positive map.
+def perron_state(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> State | None:
+    """The Perron state: the fixed point of the projective action, from one eigenvector.
 
-    The fixed point x0 of the projective action is located by iteration
-    from the maximally mixed state, and ``_choi_sandwich`` computes the
-    largest lam and smallest mu with ``lam x0 <= s.x/tau(s.x) <= mu x0``
-    that the Choi and co-Choi matrices prove.  Any two image states y, y'
-    then satisfy ``m(y, y') >= lam/mu``, so the constant is at most
-    ``(1 - r^2)/(1 + r^2)`` with ``r = lam/mu``.  No search is involved,
-    no random number is drawn, and the bound holds for every state.
+    A positive map has its spectral radius as an eigenvalue with a positive
+    eigenvector (Evans-Hoegh-Krohn 1978).  The eigenvector of ``s.matrix``
+    for the eigenvalue of largest real part, divided by its trace, is made a
+    state, and one ``projective_action`` step takes the eigen-solver's
+    residual, which on a nearly rank-one map is far above roundoff, down to
+    roundoff.  Returns None when the vector is not a state or its image is
+    a kernel state.
     """
     alg = s.algebra
-    x = alg.maximally_mixed()
-    converged = False
-    iterations = 0
+    w, v = np.linalg.eig(s.matrix)
+    vec = v[:, int(np.argmax(w.real))]  # unit norm
+    t = np.dot(alg.coefficients(alg.identity()), vec)
+    if abs(t) <= tols.kernel_tol:
+        return None
+    vec = (vec / t).real
     try:
-        for iterations in range(1, max_fp_iter + 1):
-            nxt = projective_action(s, x, tols)
-            if norm(alg, nxt.element - x.element, "one") <= tols.fixed_point_tol:
-                x = nxt
-                converged = True
-                break
-            x = nxt
-    except KernelStateError:
-        converged = False
-    if not converged:
-        return UpperCertificate(iterations=iterations)
+        return projective_action(s, State.from_element(alg.from_coefficients(vec), tols), tols)
+    except (RejectedInputError, KernelStateError):
+        return None
+
+
+def certified_upper(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> UpperCertificate:
+    """Upper bound on the projective Lipschitz constant of a faithful positive map.
+
+    The reference state x0 is the Perron state of ``perron_state``, and
+    ``_choi_sandwich`` computes the largest lam and smallest mu with
+    ``lam x0 <= s.x/tau(s.x) <= mu x0`` that the Choi and co-Choi matrices
+    prove.  Any two image states y, y' then satisfy ``m(y, y') >= lam/mu``,
+    so the constant is at most ``(1 - r^2)/(1 + r^2)`` with ``r = lam/mu``.
+    The sandwich is sound for any x0, so no convergence is needed; no
+    search is involved, no random number is drawn, and the bound holds for
+    every state.
+    """
+    x = perron_state(s, tols)
+    if x is None:
+        return UpperCertificate()
     lam, mu, method = _choi_sandwich(s, x, tols)
     upper = 1.0
     if method != "none":
         r2 = (lam / mu) ** 2
         upper = (1.0 - r2) / (1.0 + r2)
-    return UpperCertificate(x, True, iterations, min(lam, 1.0 / mu), (lam, mu), method, upper)
+    return UpperCertificate(x, min(lam, 1.0 / mu), (lam, mu), method, upper)
 
 
 def contraction_estimate(
@@ -815,7 +827,6 @@ def contraction_estimate(
     refine_iters: int = 50,
     rng: np.random.Generator | None = None,
     polish: bool = False,
-    max_fp_iter: int = 5000,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> ContractionEstimate:
     """Bracket the projective Lipschitz constant of a faithful positive map.
@@ -841,7 +852,9 @@ def contraction_estimate(
     """
     if faithfulness_check(s, tols) != YES:
         raise HypothesisViolationError(
-            "contraction constants are defined for faithful positive maps only"
+            "map is not faithful: the dual image of the identity is singular"
+            " and the product-span rank test fails, so the projective action"
+            " has kernel states"
         )
     alg = s.algebra
     if rng is None:
@@ -950,7 +963,7 @@ def contraction_estimate(
 
     cert = UpperCertificate()
     if lower <= 1.0 - 1e-9:
-        cert = certified_upper(s, max_fp_iter, tols)
+        cert = certified_upper(s, tols)
 
     return ContractionEstimate(
         lower_bound=float(lower),
@@ -959,9 +972,8 @@ def contraction_estimate(
         eta=cert.eta,
         n_samples=n_samples,
         refine_iters=refine_iters,
-        fixed_point_converged=cert.converged,
-        fixed_point_iterations=cert.iterations,
-        convergence_error=(not cert.converged) and lower < 1.0 - 1e-9,
+        fixed_point_converged=cert.fixed_point is not None,
+        convergence_error=cert.fixed_point is None and lower < 1.0 - 1e-9,
         best_pair=best_pair,
         sandwich=cert.sandwich,
         upper_method=cert.method,
@@ -1024,13 +1036,9 @@ def _proj_candidates(
             blocks = [np.zeros((m, m), dtype=complex) for m in alg.block_dims]
             blocks[b][k, k] = 1.0
             cands.append(AlgebraElement(alg, blocks))
-    # spectral structure of the fixed point (or of s(1))
-    try:
-        est = contraction_estimate(s, n_samples=8, refine_iters=0, rng=rng, tols=tols)
-        anchor = est.fixed_point.element if est.fixed_point else s.apply(alg.identity())
-    except HypothesisViolationError:
-        anchor = s.apply(alg.identity())
-    add_from_spectrum(anchor)
+    # spectral structure of the Perron state (or of s(1))
+    x0 = perron_state(s, tols)
+    add_from_spectrum(x0.element if x0 is not None else s.apply(alg.identity()))
     # iterated supports of images of random projections
     for _ in range(n_random):
         p = random_state(alg, "pure", rng, tols=tols).element
@@ -1051,7 +1059,7 @@ def irreducibility_probe(
     """Search for a non-trivial projection p with s(p) <= lambda p.
 
     The search covers block indicators, axis projections, spectral
-    projections of the fixed point, and iterated supports of images of
+    projections of the Perron state, and iterated supports of images of
     random projections.  Absence of a witness is heuristic evidence only,
     not a proof of irreducibility.
     """

@@ -323,7 +323,7 @@ class TestPsiValue:
         # thousand observables stay cheap
         from hennion_lab.fcs import _core_eval
 
-        z = _flank_evolution(rand_gen, iid, -12, 0, 5, DEFAULT_TOLS)[0]
+        z = _flank_evolution(rand_gen, iid, -12, 0, DEFAULT_TOLS)[0]
         rng = np.random.default_rng(12)
         for _ in range(1000):
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -359,8 +359,9 @@ class TestPsiValue:
 
 
 def _parent_flank_evolution(generator, driver, start, stop_before, est_opts, est_seed, stride):
-    """The flank loop before certificates: the minimum over checkpoints of a
-    full contraction_estimate's (clamped) upper bound, one rng per site."""
+    """The flank loop before certificates: the minimum over checkpoints (every
+    ``stride`` sites and at the end) of a full contraction_estimate's
+    (clamped) upper bound, one rng per site."""
     bond = generator.bond
     c1 = bond.coefficients(bond.identity())
     z, flank, upper = c1, None, 1.0
@@ -395,17 +396,19 @@ class TestFlankCertificates:
     @pytest.mark.parametrize("stride", [1, 5])
     @pytest.mark.parametrize("window", [6, 12])
     def test_matches_search_based_flank(self, site, bond, kraus_rank, driver, stride, window):
+        # the full flank's certificate alone equals the minimum over the
+        # reference's prefix checkpoints: no prefix is tighter
         gen = random_unital_generator(site, bond, kraus_rank=kraus_rank)
         opts = EstimatorOptions(n_samples=8, refine_iters=0)
         z_ref, upper_ref = _parent_flank_evolution(
             gen, DRIVERS[driver], -window, 0, opts, 11, stride
         )
         z, upper, computed, reused = _flank_evolution(
-            gen, DRIVERS[driver], -window, 0, stride, DEFAULT_TOLS
+            gen, DRIVERS[driver], -window, 0, DEFAULT_TOLS
         )
         assert np.array_equal(z, z_ref)
         assert upper == upper_ref
-        assert computed == -(-window // stride) and reused == 0
+        assert (computed, reused) == (1, 0)
 
     def test_estimator_arguments_ignored(self, rand_gen, iid, site):
         obs = LocalObservable.from_sites(site, -1, [pauli(site, "z"), pauli(site, "x")])
@@ -426,28 +429,29 @@ class TestFlankCertificates:
         other = random_unital_generator(site, bond, kraus_rank=2)
         psi_value(first, iid, obs, window=12)
         est = psi_value(other, iid, obs, window=12)
-        assert est.flank_certificates == 3 and est.flank_certificates_reused == 0
+        assert est.flank_certificates == 1 and est.flank_certificates_reused == 0
         fresh = psi_value(random_unital_generator(site, bond, kraus_rank=2), iid, obs, window=12)
         assert est.flank_upper == fresh.flank_upper
 
     def test_tolerances_are_part_of_the_key(self, rand_gen, iid, site):
         obs = LocalObservable.from_sites(site, 0, [pauli(site, "z")])
         psi_value(rand_gen, iid, obs, window=12)
-        tols = replace(DEFAULT_TOLS, fixed_point_tol=1e-11)
+        tols = replace(DEFAULT_TOLS, cert_margin=1e-11)
         est = psi_value(rand_gen, iid, obs, window=12, tols=tols)
-        assert (est.flank_certificates, est.flank_certificates_reused) == (3, 0)
+        assert (est.flank_certificates, est.flank_certificates_reused) == (1, 0)
         again = psi_value(rand_gen, iid, obs, window=12, tols=tols)
-        assert (again.flank_certificates, again.flank_certificates_reused) == (0, 3)
+        assert (again.flank_certificates, again.flank_certificates_reused) == (0, 1)
 
     def test_shifted_driver_reuses_shared_points(self, rand_gen, iid, site):
         # the flank of the shifted driver at window 14 starts at the same
-        # point as the unshifted one at window 12 and runs two sites longer
+        # point as the unshifted one at window 12 and runs two sites longer;
+        # moving the observable two sites left makes the two flanks equal
         obs = LocalObservable.from_sites(site, 0, [pauli(site, "z")])
         psi_value(rand_gen, iid, obs, window=12)
         est = psi_value(rand_gen, iid.shift(2), obs, window=14)
-        assert (est.flank_certificates, est.flank_certificates_reused) == (1, 2)
+        assert (est.flank_certificates, est.flank_certificates_reused) == (1, 0)
         same = psi_value(rand_gen, iid.shift(2), obs.shifted(-2), window=14)
-        assert (same.flank_certificates, same.flank_certificates_reused) == (0, 3)
+        assert (same.flank_certificates, same.flank_certificates_reused) == (0, 1)
 
     def test_cached_value_is_bit_equal_to_fresh(self, rand_gen, iid, site):
         a = LocalObservable.from_sites(site, 0, [pauli(site, "z")])
@@ -457,8 +461,8 @@ class TestFlankCertificates:
         fresh = psi_of_parts(
             random_unital_generator(site, rand_gen.bond, kraus_rank=3), iid, [a, b], window=12
         )
-        assert warm.flank_certificates == 0 and warm.flank_certificates_reused == 3
-        assert fresh.flank_certificates == 3 and fresh.flank_certificates_reused == 0
+        assert warm.flank_certificates == 0 and warm.flank_certificates_reused == 1
+        assert fresh.flank_certificates == 1 and fresh.flank_certificates_reused == 0
         for field_name in ("value", "truncation_bound", "flank_upper", "widen_advisory"):
             assert getattr(warm, field_name) == getattr(fresh, field_name)
         assert np.array_equal(warm.z_state.element.blocks[0], fresh.z_state.element.blocks[0])
@@ -493,8 +497,8 @@ class TestFlankCertificates:
         assert est.flank_upper == 1.0
         assert est.truncation_bound == 8.0 * norm(site, a, "inf")
         cert = certified_upper(gen.induced_phi(iid.point_at(0)))
-        assert cert.converged and cert.iterations == 1
         assert cert.method == "none" and cert.upper_bound == 1.0
+        assert cert.sandwich is not None and cert.sandwich[0] == 0.0
 
 
 class TestCovariance:

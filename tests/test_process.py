@@ -392,8 +392,7 @@ class TestRunExperiment:
         ens = ChannelEnsemble.constant(depolarizing_channel(qubit, 0.4))
         opts = EstimatorOptions(n_samples=8, refine_iters=0, eta_samples=6, stride=5)
         res = run_experiment(
-            ErgodicDriver("constant"), ens, ProcessPlan(m_start=1, n_end=20, stride=5),
-            est_opts=opts,
+            ErgodicDriver("constant"), ens, ProcessPlan(m_start=1, n_end=20), est_opts=opts
         )
         entries = res.record.c_trace
         assert any(not e.exact for e in entries)
@@ -415,8 +414,7 @@ class TestRunExperiment:
         ens = ChannelEnsemble.constant(depolarizing_channel(qubit, 0.4))
         opts = EstimatorOptions(n_samples=8, refine_iters=0, stride=5)
         res = run_experiment(
-            ErgodicDriver("constant"), ens, ProcessPlan(m_start=1, n_end=20, stride=5),
-            est_opts=opts,
+            ErgodicDriver("constant"), ens, ProcessPlan(m_start=1, n_end=20), est_opts=opts
         )
         cheap = sum(not e.exact for e in res.record.c_trace)
         assert cheap > 0

@@ -18,9 +18,11 @@ from hennion_lab.errors import (
     KernelStateError,
     RejectedInputError,
 )
+from hennion_lab.config import DEFAULT_TOLS
 from hennion_lab.qmaps import (
     MapFlags,
     SuperOperator,
+    certified_upper,
     compose,
     contraction_estimate,
     dephasing_map,
@@ -33,6 +35,7 @@ from hennion_lab.qmaps import (
     irreducibility_probe,
     is_strict_contraction,
     mixed_unitary_channel,
+    perron_state,
     predual,
     projective_action,
     projective_action_many,
@@ -41,7 +44,7 @@ from hennion_lab.qmaps import (
     unitalize,
     validate_flags,
 )
-from hennion_lab.qmaps import _choi_is_psd
+from hennion_lab.qmaps import _choi_is_psd, _choi_sandwich
 
 
 def random_faithful_map(alg, seed, mix=0.3):
@@ -545,6 +548,70 @@ class TestChoiCertificate:
         est = contraction_estimate(transpose_map(qubit), n_samples=8, refine_iters=0, rng=rng)
         assert est.fixed_point is None
         assert est.sandwich is None and est.upper_method == "none" and est.eta == 0.0
+
+
+def _loop_upper(s, max_iter=5000, tol=1e-12):
+    """Reference certificate at the fixed point found by iteration: x0 is
+    iterated from the maximally mixed state until a step moves it by at most
+    ``tol`` in trace norm, and None when ``max_iter`` steps do not get there."""
+    alg = s.algebra
+    x = alg.maximally_mixed()
+    for _ in range(max_iter):
+        nxt = projective_action(s, x)
+        moved = norm(alg, nxt.element - x.element, "one")
+        x = nxt
+        if moved <= tol:
+            break
+    else:
+        return None
+    lam, mu, method = _choi_sandwich(s, x, DEFAULT_TOLS)
+    if method == "none":
+        return 1.0
+    r2 = (lam / mu) ** 2
+    return (1.0 - r2) / (1.0 + r2)
+
+
+class TestPerronState:
+    def test_slow_rotation_is_certified(self, qubit):
+        # a rotation mixed with a little replacement: iterating the
+        # projective action gains only a factor 1 - eps per step, so
+        # _loop_upper finds no fixed point within 5000 steps
+        eps, th = 2e-3, 1.0
+        u = np.array([[np.cos(th / 2), -np.sin(th / 2)], [np.sin(th / 2), np.cos(th / 2)]])
+        rot = from_kraus(qubit, [qubit.element([u])])
+        rep = replacement_channel(qubit, State.from_element(qubit.element([np.diag([1.6, 0.4])])))
+        s = SuperOperator(
+            qubit,
+            (1.0 - eps) * rot.matrix + eps * rep.matrix,
+            MapFlags(positive="yes", faithful="yes"),
+        )
+        est = contraction_estimate(s, n_samples=8, refine_iters=0)
+        assert est.upper_bound < 1.0 and est.upper_method != "none"
+        assert est.lower_bound <= est.upper_bound
+        assert est.fixed_point_converged and not est.convergence_error
+
+    @pytest.mark.parametrize("alg_name", ["qubit", "qutrit", "two_blocks"])
+    def test_matches_fixed_point_iteration(self, alg_name, request):
+        from hennion_lab.process import ChannelEnsemble
+
+        alg = request.getfixturevalue(alg_name)
+        ens = ChannelEnsemble.random_kraus(alg, k=3, mix_eps=0.3)
+        for length in (1, 2, 5, 12, 25, 30):
+            s = ens.channel_at(100 * length)
+            for k in range(1, length):
+                s = compose(ens.channel_at(100 * length + k), s)
+            x0 = perron_state(s)
+            assert x0 is not None
+            resid = norm(alg, projective_action(s, x0).element - x0.element, "one")
+            assert resid <= 1e-12
+            assert abs(certified_upper(s).upper_bound - _loop_upper(s)) <= 1e-12
+
+    def test_no_state_no_certificate(self, qubit):
+        # the top eigenvector is the traceless off-diagonal basis element,
+        # which is no multiple of a state: the sound no-certificate default
+        s = SuperOperator(qubit, np.diag([1.0, 1.0, 2.0, 0.5]))
+        assert perron_state(s) is None
+        assert certified_upper(s) == qmaps.UpperCertificate()
 
 
 class TestIrreducibility:
