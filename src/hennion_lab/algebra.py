@@ -419,48 +419,63 @@ def random_state(
     and ``ranked`` uses a rank-``rank`` Wishart factor in a uniformly chosen
     block of sufficient dimension.
     """
-    x = AlgebraElement(algebra, _random_blocks(algebra, kind, rng, rank))
+    x = AlgebraElement(algebra, [blk[0] for blk in _random_stacks(algebra, [kind], rng, rank)])
     t = trace(algebra, x).real
     return State.from_element(x * (1.0 / t), tols)
 
 
-def _random_blocks(
-    algebra: TracialAlgebra, kind: str, rng: np.random.Generator, rank: int | None
+def _random_stacks(
+    algebra: TracialAlgebra,
+    kinds: Sequence[str],
+    rng: np.random.Generator,
+    rank: int | None = None,
 ) -> list:
-    """The unnormalized blocks of one ``random_state`` draw."""
+    """The unnormalized blocks of one ``random_state`` draw per kind, as stacks.
+
+    The Gaussians are drawn kind by kind, in order.  Each boundary draw then
+    zeroes the smallest eigenvalue of its full draw, with one stacked
+    ``eigh`` per block over all boundary draws.
+    """
     dims = algebra.block_dims
-    if kind == "pure":
-        b = int(rng.integers(algebra.n_blocks))
-        v = rng.standard_normal(dims[b]) + 1j * rng.standard_normal(dims[b])
-        blocks = [np.zeros((n, n), dtype=complex) for n in dims]
-        blocks[b] = np.outer(v, v.conj())
-    elif kind == "ranked":
-        if rank is None or rank < 1:
-            raise RejectedInputError("ranked kind needs rank >= 1")
-        eligible = [i for i, n in enumerate(dims) if n >= rank]
-        if not eligible:
-            raise RejectedInputError(f"no block can host rank {rank}")
-        b = eligible[int(rng.integers(len(eligible)))]
-        g = rng.standard_normal((dims[b], rank)) + 1j * rng.standard_normal(
-            (dims[b], rank)
-        )
-        blocks = [np.zeros((n, n), dtype=complex) for n in dims]
-        blocks[b] = g @ g.conj().T
-    elif kind in ("full", "boundary"):
-        blocks = []
-        for n in dims:
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            blocks.append(g.conj().T @ g + 1e-3 * np.eye(n))
-        if kind == "boundary":
-            decomps = [np.linalg.eigh(blk) for blk in blocks]
-            b = int(np.argmin([w[0] for w, _ in decomps]))
-            w, v = decomps[b]
-            w = w.copy()
-            w[0] = 0.0
-            blocks[b] = (v * w) @ v.conj().T
-    else:
-        raise RejectedInputError(f"unknown state kind {kind!r}")
-    return blocks
+    draws = []
+    for kind in kinds:
+        if kind == "pure":
+            b = int(rng.integers(algebra.n_blocks))
+            v = rng.standard_normal(dims[b]) + 1j * rng.standard_normal(dims[b])
+            blocks = [np.zeros((n, n), dtype=complex) for n in dims]
+            blocks[b] = np.outer(v, v.conj())
+        elif kind == "ranked":
+            if rank is None or rank < 1:
+                raise RejectedInputError("ranked kind needs rank >= 1")
+            eligible = [i for i, n in enumerate(dims) if n >= rank]
+            if not eligible:
+                raise RejectedInputError(f"no block can host rank {rank}")
+            b = eligible[int(rng.integers(len(eligible)))]
+            g = rng.standard_normal((dims[b], rank)) + 1j * rng.standard_normal(
+                (dims[b], rank)
+            )
+            blocks = [np.zeros((n, n), dtype=complex) for n in dims]
+            blocks[b] = g @ g.conj().T
+        elif kind in ("full", "boundary"):
+            blocks = []
+            for n in dims:
+                g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                blocks.append(g.conj().T @ g + 1e-3 * np.eye(n))
+        else:
+            raise RejectedInputError(f"unknown state kind {kind!r}")
+        draws.append(blocks)
+    stacks = [np.stack([d[b] for d in draws]) for b in range(algebra.n_blocks)]
+    edge = np.array([j for j, kind in enumerate(kinds) if kind == "boundary"], dtype=int)
+    if len(edge):
+        decomps = [np.linalg.eigh(blk[edge]) for blk in stacks]
+        # per draw, the block holding the smallest eigenvalue (the first on ties)
+        smallest = np.argmin([w[:, 0] for w, _ in decomps], axis=0)
+        for b, (w, v) in enumerate(decomps):
+            mine = smallest == b
+            w, v = w[mine], v[mine]
+            w[:, 0] = 0.0
+            stacks[b][edge[mine]] = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return stacks
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +552,7 @@ def random_state_stack(
     kind in order would, and are normalized and symmetrized the same way,
     without building a ``State`` per draw.
     """
-    draws = [_random_blocks(algebra, kind, rng, None) for kind in kinds]
-    stacks = [np.stack([d[b] for d in draws]) for b in range(algebra.n_blocks)]
+    stacks = _random_stacks(algebra, kinds, rng)
     # Python division, so that a zero trace raises as it does in random_state
     scale = np.array([1.0 / float(t) for t in trace_stack(algebra, stacks)])[:, None, None]
     return hermitize_stack([blk * scale for blk in stacks], tols)

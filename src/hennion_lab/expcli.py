@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 input or schema error, 3 math-domain error,
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import datetime
 import functools
@@ -637,6 +638,7 @@ def cmd_process(config: dict, out_dir: str) -> dict:
                 "sup_dual_inverse": rec.sup_dual_inverse,
                 "convergence_errors": rec.convergence_errors,
                 "cheap_lower_skips": rec.cheap_lower_skips,
+                "upper_methods": dict(collections.Counter(e.upper_method for e in rec.c_trace)),
                 "collapse": collapse,
                 "hypothesis_flag": rec.nu_certified is None,
             }

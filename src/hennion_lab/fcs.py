@@ -35,6 +35,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .process import (
+    RESOLUTION_FLOOR,
     ChannelEnsemble,
     ErgodicDriver,
     EstimatorOptions,
@@ -607,26 +608,30 @@ def _d_prefactors_around(
 
     ``d_up`` covers compositions from the anchor up to ``top``; ``d_down``
     covers compositions from below up to ``anchor - 1`` starting no lower
-    than ``bottom``.
+    than ``bottom``.  Lengths whose certified upper bound is below
+    ``RESOLUTION_FLOOR`` are skipped, as in ``estimate_rate_C``.
     """
     from .process import extend_process, start_process
+
+    def sup_over_lengths(rec, more: Callable) -> float:
+        d = 1.0
+        while True:
+            if rec.latest_upper() >= RESOLUTION_FLOOR:
+                d = max(d, rec.latest_upper() / kappa**rec.length)
+            if not more(rec):
+                return d
+            extend_process(rec, tols=tols)
 
     d_up = 1.0
     if top >= anchor:
         rec = start_process(driver, ensemble, "phi_left", anchor, est_opts, est_seed, tols)
-        d_up = max(d_up, rec.latest_upper() / kappa)
-        while rec.n_anchor < top:
-            extend_process(rec, tols=tols)
-            d_up = max(d_up, rec.latest_upper() / kappa**rec.length)
+        d_up = sup_over_lengths(rec, lambda r: r.n_anchor < top)
     d_down = 1.0
     if anchor - 1 >= bottom:
         rec = start_process(
             driver, ensemble, "gamma_right", anchor - 1, est_opts, est_seed + 1, tols
         )
-        d_down = max(d_down, rec.latest_upper() / kappa)
-        while rec.m_anchor > bottom:
-            extend_process(rec, tols=tols)
-            d_down = max(d_down, rec.latest_upper() / kappa**rec.length)
+        d_down = sup_over_lengths(rec, lambda r: r.m_anchor > bottom)
     return d_up, d_down
 
 

@@ -75,6 +75,11 @@ __all__ = [
 
 _COUNTER_OFFSET = 1 << 62  # shifts the two-sided index range into Philox counters
 
+# Contraction constants below this sit at the double-precision floor: a fresh
+# estimate there measures roundoff, so the trace carries the last certified
+# bound, and the rate fit and the prefactors ignore such entries.
+RESOLUTION_FLOOR = 1e-13
+
 
 def derive_seed(master_seed: int, name: str) -> int:
     """Stable named substream seed; adding consumers never perturbs others."""
@@ -342,6 +347,10 @@ class CTraceEntry:
     lower: float
     upper: float
     exact: bool  # True when freshly estimated, False when carried forward
+    # how the upper bound was obtained: the estimate's own certificate
+    # ("choi", "co_choi", "mixed", "none"), or "carried" from a shorter
+    # composition, since c(s . t) <= c(s)
+    upper_method: str
 
 
 @dataclass
@@ -399,10 +408,10 @@ def _estimate_entry(record: ProcessRecord, tols: Tolerances) -> CTraceEntry:
     )
     if est.convergence_error:
         record.convergence_errors += 1
-    upper = est.upper_bound
-    if record.c_trace:
-        upper = min(upper, record.c_trace[-1].upper)  # monotone under composition
-    return CTraceEntry(record.length, est.lower_bound, upper, True)
+    upper, method = est.upper_bound, est.upper_method
+    if record.c_trace and record.latest_upper() < upper:  # monotone under composition
+        upper, method = record.latest_upper(), "carried"
+    return CTraceEntry(record.length, est.lower_bound, upper, True, method)
 
 
 def _cheap_lower(record: ProcessRecord, tols: Tolerances, n_pairs: int = 6) -> float:
@@ -498,7 +507,9 @@ def extend_process(
     composed on the right; for ``phi_left`` it sits at ``n_anchor + 1`` and
     is composed on the left.  The contraction trace is extended with a
     fresh interval (or, between estimation strides, with the carried-over
-    certified upper bound and a cheap sampled lower bound).
+    certified upper bound and a cheap sampled lower bound).  Once the
+    certified upper bound is below ``RESOLUTION_FLOOR`` it is carried with
+    the trivial lower bound 0 and nothing is estimated.
     """
     if record.direction == "gamma_right":
         idx = record.m_anchor - 1
@@ -525,7 +536,9 @@ def extend_process(
             record.composed = record.composed.rescaled(1.0 / scale)
             record.log_scale += math.log(scale)
 
-    if record.est_opts.stride <= 1 or record.length % record.est_opts.stride == 0:
+    if record.latest_upper() < RESOLUTION_FLOOR:
+        entry = CTraceEntry(record.length, 0.0, record.latest_upper(), False, "carried")
+    elif record.est_opts.stride <= 1 or record.length % record.est_opts.stride == 0:
         entry = _estimate_entry(record, tols)
     else:
         entry = CTraceEntry(
@@ -533,6 +546,7 @@ def extend_process(
             _cheap_lower(record, tols),
             record.latest_upper(),
             False,
+            "carried",
         )
     # composition never grows the constant: recorded bounds stay monotone
     # (clipping a valid lower bound by an earlier one keeps it valid)
@@ -549,7 +563,7 @@ def extend_process(
 
 
 def estimate_rate_C(
-    record: ProcessRecord, burn_in: int | None = None, min_c: float = 1e-13
+    record: ProcessRecord, burn_in: int | None = None, min_c: float = RESOLUTION_FLOOR
 ) -> tuple[float, float]:
     """Collapse rate from the contraction trace.
 
@@ -557,23 +571,24 @@ def estimate_rate_C(
     length by least squares, after discarding a burn-in prefix.  Entries
     whose certified upper bound fell below ``min_c`` are excluded: the
     distance computation saturates at the double-precision floor there and
-    would flatten the tail of the fit.  When any certified upper bound is
-    exactly zero the rate is reported as exact zero.  Requires at least ten
-    contracting entries.
+    would flatten the tail of the fit.  ``D_prefactor`` is the supremum of
+    ``upper / kappa**length`` over the entries the fit may use, burn-in
+    included.  When any certified upper bound is exactly zero the rate is
+    reported as exact zero.  Requires at least ten contracting entries.
     """
     usable = [e for e in record.c_trace if e.exact and e.upper < 1.0]
     if usable and usable[0].upper <= 1e-12:
         record.rate_C, record.rate_r2 = 0.0, 1.0
         record.rate_exact_zero = True
         return 0.0, 1.0
-    entries = [e for e in usable if e.upper >= min_c]
-    if len(entries) < 10:
+    resolved = [e for e in usable if e.upper >= min_c]
+    if len(resolved) < 10:
         raise NotEnoughDataError(
-            f"need >= 10 contracting entries, have {len(entries)}"
+            f"need >= 10 contracting entries, have {len(resolved)}"
         )
     if burn_in is None:
-        burn_in = max(1, len(entries) // 4)
-    entries = entries[burn_in:] if len(entries) > burn_in + 2 else entries
+        burn_in = max(1, len(resolved) // 4)
+    entries = resolved[burn_in:] if len(resolved) > burn_in + 2 else resolved
     lengths = np.array([e.length for e in entries], dtype=float)
     mids = np.array(
         [
@@ -590,14 +605,7 @@ def estimate_rate_C(
     record.rate_C, record.rate_r2 = c, r2
     if record.kappa is None:
         record.kappa = min(0.999, c + 0.05)
-    record.D_prefactor = max(
-        [1.0]
-        + [
-            e.upper / record.kappa**e.length
-            for e in record.c_trace
-            if e.exact and e.upper < 1.0
-        ]
-    )
+    record.D_prefactor = max([1.0] + [e.upper / record.kappa**e.length for e in resolved])
     return c, r2
 
 
@@ -699,7 +707,7 @@ def rank_one_collapse_check(
     kappa: float | None = None,
     probe: State | None = None,
     stabilize_window: int = 20,
-    resolution_floor: float = 1e-13,
+    resolution_floor: float = RESOLUTION_FLOOR,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> CollapseBoundReport:
     """Replay the composition and track the rank-one collapse prefactor.

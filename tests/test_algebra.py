@@ -16,7 +16,7 @@ from hennion_lab import (
     tensor_element,
     trace,
 )
-from hennion_lab.algebra import element_from_payload, element_to_payload
+from hennion_lab.algebra import element_from_payload, element_to_payload, random_state_stack
 from hennion_lab.errors import RejectedInputError, ShapeMismatchError
 
 
@@ -186,6 +186,20 @@ class TestRandomState:
         eigs = np.linalg.eigvalsh(s.element.blocks[0])
         assert eigs[0] <= 1e-12
         assert eigs[1] >= 1e-6
+
+    @pytest.mark.parametrize("dims", [[2], [3], [2, 2]], ids=["M2", "M3", "M2+M2"])
+    def test_stack_matches_per_draw(self, dims):
+        # the stacked draw (one eigh per block over all boundary draws) is
+        # bit-equal to one random_state call per kind and consumes rng alike
+        alg = make_algebra(dims, [1.0] * len(dims))
+        kinds = ["boundary", "pure", "full", "boundary", "boundary", "pure"] * 3
+        rng_stack, rng_single = np.random.default_rng(5), np.random.default_rng(5)
+        stacks = random_state_stack(alg, kinds, rng_stack)
+        for j, kind in enumerate(kinds):
+            single = random_state(alg, kind, rng_single).element.blocks
+            for blk, ref in zip(stacks, single):
+                assert np.array_equal(blk[j], ref)
+        assert rng_stack.bit_generator.state == rng_single.bit_generator.state
 
     def test_pure_ensemble_mean(self, qubit, rng):
         # unitary invariance: averaged pure states approach the identity

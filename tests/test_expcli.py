@@ -181,6 +181,8 @@ class TestProcessCommand:
         summary = cmd_process(dict(PROCESS_CONFIG), str(out))
         assert summary["streams"][0]["C"] == pytest.approx(0.5, abs=1e-3)
         assert summary["streams"][0]["cheap_lower_skips"] == 0
+        # one certificate per length; depolarizing(0.5) takes one side from each matrix
+        assert summary["streams"][0]["upper_methods"] == {"mixed": 12}
         names = sorted(os.listdir(out))
         assert "runs.csv" in names and "summary.json" in names
         assert "manifest.json" in names and "c_of_length.dat" in names

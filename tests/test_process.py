@@ -11,6 +11,7 @@ from hennion_lab.errors import (
     RejectedInputError,
 )
 from hennion_lab.process import (
+    RESOLUTION_FLOOR,
     ChannelEnsemble,
     ErgodicDriver,
     EstimatorOptions,
@@ -26,6 +27,7 @@ from hennion_lab.process import (
     stopping_time_nu,
 )
 from hennion_lab.qmaps import (
+    contraction_estimate,
     depolarizing_channel,
     predual,
     projective_action,
@@ -206,6 +208,73 @@ class TestExtension:
         assert 1e-6 < t < 1e6
 
 
+class TestFloorCarry:
+    """Below RESOLUTION_FLOOR the trace carries its bound and estimates nothing."""
+
+    OPTS = EstimatorOptions(n_samples=10, refine_iters=4)
+    SEED = 12345
+
+    def _stream(self, qubit, monkeypatch, direction, floor):
+        # an i.i.d. depolarizing(0.5)/(0.6) stream to length 60; every call
+        # of contraction_estimate is counted with the map it was given
+        monkeypatch.setattr(process, "RESOLUTION_FLOOR", floor)
+        seen = []
+
+        def counted(s, **kwargs):
+            seen.append(s)
+            return contraction_estimate(s, **kwargs)
+
+        monkeypatch.setattr(process, "contraction_estimate", counted)
+        ens = ChannelEnsemble.mixture(
+            [depolarizing_channel(qubit, 0.5), depolarizing_channel(qubit, 0.6)], [0.5, 0.5]
+        )
+        d = ErgodicDriver("iid_shift", master_seed=7)
+        rec = start_process(d, ens, direction, 0, self.OPTS, self.SEED)
+        for _ in range(59):
+            extend_process(rec)
+        return rec, seen
+
+    @pytest.mark.parametrize("direction", ["gamma_right", "phi_left"])
+    def test_carried_below_floor(self, qubit, monkeypatch, direction):
+        rec, seen = self._stream(qubit, monkeypatch, direction, RESOLUTION_FLOOR)
+        ref, ref_seen = self._stream(qubit, monkeypatch, direction, 0.0)
+        entries = rec.c_trace
+        first = next(k for k, e in enumerate(entries) if e.upper < RESOLUTION_FLOOR)
+        assert 10 < first < 50 and len(entries) == 60
+        # one estimate per length up to the first entry below the floor, none after
+        assert len(seen) == first + 1 and len(ref_seen) == 60
+        assert entries[: first + 1] == ref.c_trace[: first + 1]
+        for e in entries[first + 1 :]:
+            assert (e.exact, e.lower, e.upper, e.upper_method) == (
+                False,
+                0.0,
+                entries[first].upper,
+                "carried",
+            )
+        # a carried bound is still an upper bound of every fresh lower bound
+        assert all(e.lower <= entries[first].upper for e in ref.c_trace[first:])
+        # fresh entries are the estimate at their derived seed, kept monotone
+        lower, upper = 1.0, 1.0
+        for e, s in zip(entries[: first + 1], seen):
+            rng = np.random.default_rng(process.derive_seed(self.SEED, f"estimate:{e.length}"))
+            est = contraction_estimate(s, rng=rng, **self.OPTS.call_kwargs())
+            lower, upper = min(lower, est.lower_bound), min(upper, est.upper_bound)
+            assert (e.exact, e.lower, e.upper) == (True, lower, upper)
+            assert e.upper_method == (
+                est.upper_method if e.upper == est.upper_bound else "carried"
+            )
+
+    def test_stride_entries_carried(self, qubit):
+        ens = ChannelEnsemble.constant(depolarizing_channel(qubit, 0.4))
+        opts = EstimatorOptions(n_samples=8, refine_iters=0, stride=5)
+        res = run_experiment(
+            ErgodicDriver("constant"), ens, ProcessPlan(m_start=1, n_end=12), est_opts=opts
+        )
+        for e in res.record.c_trace:
+            assert (e.upper_method == "carried") == (not e.exact)
+            assert e.exact or e.upper == res.record.c_trace[e.length - 2].upper
+
+
 class TestRate:
     def test_exact_zero_flag(self, qubit, rng):
         ens = ChannelEnsemble.constant(
@@ -233,7 +302,7 @@ class TestRate:
         rec = res.record
         assert rec.D_prefactor is not None and np.isfinite(rec.D_prefactor)
         for e in rec.c_trace:
-            if e.exact and e.upper < 1.0:
+            if e.exact and RESOLUTION_FLOOR <= e.upper < 1.0:
                 assert e.upper <= rec.D_prefactor * rec.kappa**e.length * (1 + 1e-9)
 
     def test_rate_duality(self, qubit):
