@@ -26,7 +26,6 @@ import sys
 import time
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .algebra import (
@@ -231,8 +230,6 @@ FCS_CONFIG_SCHEMA = {
             "properties": {
                 "gaps": {"type": "array", "items": {"type": "integer", "minimum": 1}},
                 "window": {"type": "integer", "minimum": 1},
-                "pre_run_length": {"type": "integer", "minimum": 10},
-                "kappa": {"type": ["number", "null"]},
                 "covariance_shifts": {"type": "array", "items": {"type": "integer"}},
                 "birkhoff_n_max": {"type": "integer", "minimum": 0},
                 "omega_samples": {"type": "integer", "minimum": 1},
@@ -273,6 +270,8 @@ _SCHEMAS = {
 @functools.cache
 def _validator(name: str):
     """The validator of a schema in ``_SCHEMAS``, built and meta-checked once."""
+    import jsonschema
+
     schema = _SCHEMAS[name]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -281,6 +280,8 @@ def _validator(name: str):
 
 def _validate(instance, name: str) -> None:
     """``jsonschema.validate`` against a named schema, raising the same error."""
+    import jsonschema
+
     error = jsonschema.exceptions.best_match(_validator(name).iter_errors(instance))
     if error is not None:
         raise error
@@ -438,10 +439,10 @@ def _write_csv(path: str, header, rows) -> None:
     _write_atomic(path, buf.getvalue())
 
 
-def _write_dat(path: str, comment: str, pairs) -> None:
+def _write_dat(path: str, comment: str, rows) -> None:
     lines = [f"# {comment}"]
-    for x, y in pairs:
-        lines.append(f"{_fmt(x)} {_fmt(y)}")
+    for row in rows:
+        lines.append(" ".join(_fmt(v) for v in row))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -661,12 +662,8 @@ def cmd_process(config: dict, out_dir: str) -> dict:
     first = summary_streams[0]["run_id"] if summary_streams else ""
     _write_dat(
         os.path.join(out_dir, "c_of_length.dat"),
-        "length  geometric midpoint of the certified contraction interval",
-        [
-            (r[2], float(np.sqrt(max(r[3], 1e-300) * max(r[4], 1e-300))))
-            for r in all_rows
-            if r[0] == first
-        ],
+        "length  c_lower  c_upper (certified contraction interval)",
+        [(r[2], r[3], r[4]) for r in all_rows if r[0] == first],
     )
     files.append("c_of_length.dat")
     _write_dat(
@@ -700,7 +697,6 @@ def cmd_fcs(config: dict, out_dir: str) -> dict:
         )
     driver = _build_driver(config["driver"], derive_seed(master, "driver"))
     plan = config["plan"]
-    est_opts = _build_estimator(config.get("estimator"))
     obs_a = LocalObservable.from_sites(
         site, 0, [_build_observable(config.get("observable_a"), site)]
     )
@@ -718,10 +714,6 @@ def cmd_fcs(config: dict, out_dir: str) -> dict:
         obs_b,
         gaps=[int(g) for g in plan["gaps"]],
         window=int(plan["window"]),
-        kappa=plan.get("kappa"),
-        pre_run_length=int(plan.get("pre_run_length", 40)),
-        est_opts=est_opts,
-        est_seed=derive_seed(master, "clustering"),
         tols=tols,
     )
     _write_csv(
@@ -778,23 +770,12 @@ def cmd_fcs(config: dict, out_dir: str) -> dict:
 
     summary = {
         "config_hash": cfg_hash,
-        "C_hat": report.c_hat,
-        "kappa": report.kappa,
         "kappa_fit": report.kappa_fit,
         "E_fit": report.e_fit,
         "window": report.window,
         "degenerate": report.degenerate,
         "all_pass": report.all_pass,
-        "prefactors": [
-            {
-                "gap": r.gap,
-                "anchor": r.anchor,
-                "d_up": r.d_up,
-                "d_down": r.d_down,
-                "E_k": 8.0 * r.d_up * r.d_down,
-            }
-            for r in report.rows
-        ],
+        "flank_upper": [{"gap": r.gap, "flank_upper": r.flank_upper} for r in report.rows],
         "covariance": [
             {"shift": k, "deviation": d, "budget": b, "pass": bool(p)}
             for (k, d, b, p) in cov_rows
@@ -881,6 +862,8 @@ def _load_config(path: str, args) -> tuple[dict, str]:
 
 
 def main(argv=None) -> int:
+    import jsonschema
+
     args = _parser().parse_args(argv)
     try:
         if args.command == "metric":

@@ -45,7 +45,7 @@ FCS_CONFIG = {
     "bond": {"dims": [2], "weights": [1.0]},
     "driver": {"kind": "constant"},
     "generator": {"recipe": "product"},
-    "plan": {"gaps": [1, 2], "window": 8, "pre_run_length": 10},
+    "plan": {"gaps": [1, 2], "window": 8},
     "estimator": {"n_samples": 6, "refine_iters": 0, "eta_samples": 6},
 }
 
@@ -202,6 +202,20 @@ class TestProcessCommand:
         for name in manifest["files"]:
             assert os.path.exists(out / name)
 
+    def test_c_of_length_carries_both_bounds(self, tmp_path):
+        # a stream that reaches the floor: carried rows read c_lower 0 and
+        # the carried c_upper, in the .dat file as in runs.csv
+        cfg = {**PROCESS_CONFIG, "ensemble": {"recipe": "depolarizing", "eps": 0.9}}
+        cfg["plan"] = {"m_start": 1, "n_end": 20}
+        out = tmp_path / "run"
+        summary = cmd_process(cfg, str(out))
+        assert summary["streams"][0]["upper_methods"].get("carried", 0) > 0
+        lines = open(out / "c_of_length.dat").read().splitlines()
+        assert lines[0] == "# length  c_lower  c_upper (certified contraction interval)"
+        runs = [row.split(",") for row in open(out / "runs.csv").read().splitlines()[1:]]
+        assert [line.split() for line in lines[1:]] == [row[2:5] for row in runs]
+        assert runs[-1][3] == "0"
+
     def test_unknown_config_key_rejected(self, tmp_path):
         bad = dict(PROCESS_CONFIG)
         bad["surprise"] = True
@@ -239,6 +253,23 @@ class TestFcsCommand:
         rows = open(out / "decay.csv").read().strip().splitlines()
         assert rows[0] == "gap,corr,bound_rhs,pass"
         assert len(rows) == 3
+
+    def test_summary_reports_middle_certificates(self, tmp_path):
+        summary = cmd_fcs(dict(FCS_CONFIG), str(tmp_path / "fcs"))
+        for key in ("C_hat", "kappa", "prefactors"):
+            assert key not in summary
+        # the product generator's bond maps are the identity: nothing contracts
+        assert summary["flank_upper"] == [
+            {"gap": 1, "flank_upper": 1.0},
+            {"gap": 2, "flank_upper": 1.0},
+        ]
+
+    @pytest.mark.parametrize("key,value", [("kappa", 0.5), ("pre_run_length", 12)])
+    def test_removed_plan_keys_exit_2(self, tmp_path, key, value):
+        cfg = {**FCS_CONFIG, "plan": {**FCS_CONFIG["plan"], key: value}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["fcs", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
     def test_covariance_rows(self, tmp_path):
         out = tmp_path / "fcs"

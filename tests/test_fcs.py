@@ -7,6 +7,8 @@ import pytest
 
 from hennion_lab import (
     fcs,
+    process,
+    qmaps,
     make_algebra,
     norm,
     random_state,
@@ -483,7 +485,6 @@ class TestFlankCertificates:
             LocalObservable.from_sites(site, 0, [pauli(site, "x")]),
             gaps=[1, 2, 3],
             window=12,
-            pre_run_length=10,
         )
         joint = [est for n, est in calls if n == 2]
         assert len(joint) == 3
@@ -532,7 +533,6 @@ class TestClustering:
             LocalObservable.from_sites(site, 0, [pauli(site, "x")]),
             gaps=[1, 2, 3],
             window=12,
-            pre_run_length=10,
         )
         assert all(r.corr < 1e-12 for r in rep.rows)
         assert rep.degenerate
@@ -541,7 +541,7 @@ class TestClustering:
     def test_unit_observables_uncorrelated(self, rand_gen, iid, site):
         one = LocalObservable.from_sites(site, 0, [site.identity()])
         rep = clustering_experiment(
-            rand_gen, iid, one, one, gaps=[1, 3], window=12, pre_run_length=10,
+            rand_gen, iid, one, one, gaps=[1, 3], window=12,
         )
         assert all(r.corr < 1e-10 for r in rep.rows)
 
@@ -554,13 +554,87 @@ class TestClustering:
             LocalObservable.from_sites(site, 0, [pauli(site, "x")]),
             gaps=[1, 2, 3, 4, 5, 6],
             window=20,
-            pre_run_length=25,
         )
         assert rep.all_pass
         assert not rep.degenerate
-        assert rep.kappa_fit <= rep.kappa + 0.05
+        # the fitted decay is no slower than the certified bound's per-gap rate
+        first, last = rep.rows[0], rep.rows[-1]
+        bound_rate = (last.bound_rhs / first.bound_rhs) ** (1.0 / (last.gap - first.gap))
+        assert rep.kappa_fit <= bound_rate + 0.05
         # decay is genuinely exponential: correlations shrink across gaps
         assert rep.rows[-1].corr < rep.rows[0].corr
+
+    def test_bound_is_the_middle_certificate(self, site, bond):
+        # bound_rhs is 8 ||a|| ||b|| min(1, U) with U certified on the bond
+        # predual composed over sites 1 .. gap-1, built here from predual()
+        gen = random_unital_generator(site, bond, kraus_rank=2)
+        driver = ErgodicDriver("iid_shift", master_seed=5)
+        f = site.element([np.diag([2.0, -0.5])])
+        a = LocalObservable.from_sites(site, 0, [pauli(site, "z"), f])
+        b = LocalObservable.from_sites(site, 0, [pauli(site, "x")])
+        gaps = [1, 2, 3, 5, 8]
+        rep = clustering_experiment(gen, driver, a, b, gaps=gaps, window=12)
+        norms = norm(site, f, "inf") * norm(site, pauli(site, "z"), "inf")
+        norms *= norm(site, pauli(site, "x"), "inf")
+        assert rep.rows[0].bound_rhs == 8.0 * norms
+        assert rep.rows[0].flank_upper == 1.0
+        for gap, row in zip(gaps[1:], rep.rows[1:]):
+            mid = reduce(
+                lambda acc, site_idx: predual(gen.induced_phi(driver.point_at(site_idx))).matrix @ acc,
+                range(1, gap),
+                np.eye(bond.dim),
+            )
+            comp = SuperOperator(bond, mid, MapFlags(positive="yes", faithful="yes"))
+            upper = min(1.0, certified_upper(comp).upper_bound)
+            assert row.flank_upper == pytest.approx(upper, rel=1e-12, abs=1e-15)
+            assert row.bound_rhs == pytest.approx(8.0 * norms * upper, rel=1e-12, abs=1e-15)
+        assert rep.rows[-1].flank_upper < 0.5
+
+    def test_runs_no_estimated_process(self, rand_gen, iid, site, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("clustering ran an estimate")
+
+        monkeypatch.setattr(qmaps, "contraction_estimate", boom)
+        monkeypatch.setattr(process, "contraction_estimate", boom)
+        monkeypatch.setattr(process, "run_experiment", boom)
+        obs = LocalObservable.from_sites(site, 0, [pauli(site, "z")])
+        rep = clustering_experiment(rand_gen, iid, obs, obs, gaps=[1, 2, 4], window=12)
+        assert rep.all_pass and len(rep.rows) == 3
+
+    def test_deprecated_arguments_ignored(self, site, bond, iid):
+        obs = LocalObservable.from_sites(site, 0, [pauli(site, "z")])
+        plain = clustering_experiment(
+            random_unital_generator(site, bond, kraus_rank=2), iid, obs, obs, [1, 3], 10
+        )
+        legacy = clustering_experiment(
+            random_unital_generator(site, bond, kraus_rank=2),
+            iid,
+            obs,
+            obs,
+            [1, 3],
+            10,
+            pre_run_length=16,
+            est_opts=EstimatorOptions(n_samples=8, refine_iters=0),
+            est_seed=123,
+        )
+        assert plain == legacy
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("kraus_rank", [2, 3])
+    def test_corr_within_bound_sweep(self, site, bond, seed, kraus_rank):
+        drivers = [
+            ErgodicDriver("iid_shift", master_seed=seed),
+            ErgodicDriver("cyclic", master_seed=seed, period=3),
+            ErgodicDriver("rotation", alpha=(np.sqrt(5) - 1) / 2, omega0=0.1 * seed),
+            ErgodicDriver("constant"),
+        ]
+        a = LocalObservable.from_sites(site, 0, [pauli(site, "z"), pauli(site, "x")])
+        b = LocalObservable.from_sites(site, 0, [site.element([np.array([[0.5, 1j], [-1j, -1.0]])])])
+        for driver in drivers:
+            gen = random_unital_generator(site, bond, kraus_rank=kraus_rank)
+            rep = clustering_experiment(gen, driver, a, b, gaps=range(1, 9), window=14)
+            for row in rep.rows:
+                assert row.corr <= row.bound_rhs, (driver.kind, row)
 
 
 class TestBirkhoff:
