@@ -35,10 +35,12 @@ from .algebra import (
     element_to_payload,
     load_element,
     make_algebra,
+    random_state,
     trace,
 )
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
+    DegeneratePairError,
     HennionLabError,
     HypothesisViolationError,
     MathDomainError,
@@ -65,6 +67,7 @@ from .process import (
     EstimatorOptions,
     ProcessPlan,
     derive_seed,
+    limit_state_estimate,
     rank_one_collapse_check,
     run_experiment,
 )
@@ -79,7 +82,6 @@ from .qmaps import (
     replacement_channel,
     transpose_map,
 )
-from .errors import DegeneratePairError
 
 # ---------------------------------------------------------------------------
 # config schema
@@ -153,8 +155,6 @@ _ESTIMATOR_SCHEMA = {
         "refine_iters": {"type": "integer", "minimum": 0},
         # deprecated and ignored; accepted so that existing configs load
         "eta_samples": {"type": "integer", "minimum": 1},
-        "polish": {"type": "boolean"},
-        "stride": {"type": "integer", "minimum": 1},
     },
     "additionalProperties": False,
 }
@@ -364,14 +364,8 @@ def _build_ensemble(spec: dict, algebra) -> ChannelEnsemble:
 
 
 def _build_estimator(spec: dict | None) -> EstimatorOptions:
-    if spec is None:
-        return EstimatorOptions()
-    return EstimatorOptions(
-        n_samples=int(spec.get("n_samples", 24)),
-        refine_iters=int(spec.get("refine_iters", 12)),
-        polish=bool(spec.get("polish", False)),
-        stride=int(spec.get("stride", 1)),
-    )
+    # the schema admits only EstimatorOptions' fields, all of them integers
+    return EstimatorOptions(**{key: int(value) for key, value in (spec or {}).items()})
 
 
 def _build_tols(spec: dict | None) -> Tolerances:
@@ -604,12 +598,8 @@ def cmd_process(config: dict, out_dir: str) -> dict:
             all_rows.append((run_id, rec.direction) + row)
         if rec.direction == "gamma_right":
             try:
-                from .algebra import random_state
-
                 rng = np.random.default_rng(derive_seed(master, f"limit{stream}"))
                 probes = [random_state(alg, "full", rng, tols=tols) for _ in range(2)]
-                from .process import limit_state_estimate
-
                 limit, _ = limit_state_estimate(rec, probes, tols)
                 limit_path = f"limit_state_s{stream}.json"
                 _write_json(
@@ -638,7 +628,6 @@ def cmd_process(config: dict, out_dir: str) -> dict:
                 "nu_optimistic": rec.nu_optimistic,
                 "sup_dual_inverse": rec.sup_dual_inverse,
                 "convergence_errors": rec.convergence_errors,
-                "cheap_lower_skips": rec.cheap_lower_skips,
                 "upper_methods": dict(collections.Counter(e.upper_method for e in rec.c_trace)),
                 "collapse": collapse,
                 "hypothesis_flag": rec.nu_certified is None,

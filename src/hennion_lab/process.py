@@ -24,7 +24,6 @@ from .algebra import (
     TracialAlgebra,
     norm,
     random_state,
-    random_state_stack,
     trace,
 )
 from .config import DEFAULT_TOLS, Tolerances
@@ -36,20 +35,17 @@ from .errors import (
     RejectedInputError,
     ShapeMismatchError,
 )
-from .hennion import hennion_distance_many
 from .qmaps import (
     MapFlags,
     SuperOperator,
     compose,
     contraction_estimate,
-    depolarizing_channel,
+    faithfulness_check,
     from_kraus,
     from_strongly_summable,
     predual,
     projective_action,
-    projective_action_many,
     replacement_channel,
-    transpose_map,
     validate_flags,
 )
 
@@ -79,6 +75,13 @@ _COUNTER_OFFSET = 1 << 62  # shifts the two-sided index range into Philox counte
 # estimate there measures roundoff, so the trace carries the last certified
 # bound, and the rate fit and the prefactors ignore such entries.
 RESOLUTION_FLOOR = 1e-13
+
+# A composed matrix is rescaled to unit trace of its image of 1 every this
+# many lengths; projective quantities do not see the scale.
+_RENORM_STRIDE = 25
+
+# lengths over which rank_one_collapse_check's prefactor must settle
+_STABILIZE_WINDOW = 20
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -177,10 +180,9 @@ class ChannelEnsemble:
             self._cache[key] = ch
         return ch
 
-    def validate(self, driver: ErgodicDriver, indices: Sequence[int] = (0, 1, 2)) -> None:
-        from .qmaps import faithfulness_check
-
-        for n in indices:
+    def validate(self, driver: ErgodicDriver) -> None:
+        """Check that the channels at sites 0, 1 and 2 are positive and faithful."""
+        for n in (0, 1, 2):
             ch = validate_flags(self.channel_at(driver.point_at(n)))
             if ch.flags.positive != "yes":
                 raise HypothesisViolationError(
@@ -319,26 +321,19 @@ def _psd_sqrt(blk: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimatorOptions:
-    """Knobs forwarded to the per-length contraction estimates.
+    """Sizes of the lower-bound search of every fresh per-length estimate.
 
-    ``eta_samples`` and ``eta_starts`` are deprecated and ignored: they sized
-    the sampled search that the Choi-matrix certificate replaced, and stay
-    only so that existing configurations keep loading.
+    ``eta_samples`` is deprecated and ignored: it sized the sampled search
+    that the Choi-matrix certificate replaced, and stays only so that
+    existing configurations keep loading.
     """
 
     n_samples: int = 24
     refine_iters: int = 12
     eta_samples: int = 16
-    eta_starts: int = 2
-    polish: bool = False
-    stride: int = 1
 
     def call_kwargs(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "refine_iters": self.refine_iters,
-            "polish": self.polish,
-        }
+        return {"n_samples": self.n_samples, "refine_iters": self.refine_iters}
 
 
 @dataclass
@@ -346,7 +341,9 @@ class CTraceEntry:
     length: int
     lower: float
     upper: float
-    exact: bool  # True when freshly estimated, False when carried forward
+    # True when freshly estimated; False once the upper bound is below
+    # RESOLUTION_FLOOR, where it is carried with lower bound 0
+    exact: bool
     # how the upper bound was obtained: the estimate's own certificate
     # ("choi", "co_choi", "mixed", "none"), or "carried" from a shorter
     # composition, since c(s . t) <= c(s)
@@ -380,12 +377,9 @@ class ProcessRecord:
     kappa: float | None = None
     D_prefactor: float | None = None
     limit_state: State | None = None
-    E_k: float | None = None
     est_opts: EstimatorOptions = field(default_factory=EstimatorOptions)
     est_rng_seed: int = 0
-    renorm_stride: int = 25
     convergence_errors: int = 0
-    cheap_lower_skips: int = 0  # pairs _cheap_lower dropped because a check failed
     sup_dual_inverse: float = 0.0  # running sup of ||dual(composed)(composed(1)^-1)||_inf
 
     @property
@@ -412,33 +406,6 @@ def _estimate_entry(record: ProcessRecord, tols: Tolerances) -> CTraceEntry:
     if record.c_trace and record.latest_upper() < upper:  # monotone under composition
         upper, method = record.latest_upper(), "carried"
     return CTraceEntry(record.length, est.lower_bound, upper, True, method)
-
-
-def _cheap_lower(record: ProcessRecord, tols: Tolerances, n_pairs: int = 6) -> float:
-    rng = np.random.default_rng(
-        derive_seed(record.est_rng_seed, f"cheap:{record.length}")
-    )
-    s = record.composed
-    kinds = [("boundary", "pure")[(j + side) % 2] for j in range(n_pairs) for side in (0, 1)]
-    x = random_state_stack(s.algebra, kinds, rng, tols)
-
-    def best(rows: slice) -> float:
-        ya = projective_action_many(s, [blk[0::2][rows] for blk in x], tols)
-        yb = projective_action_many(s, [blk[1::2][rows] for blk in x], tols)
-        return max(0.0, float(hennion_distance_many(s.algebra, ya, yb, tols)[0].max()))
-
-    try:
-        return best(slice(None))
-    except HennionLabError:
-        pass
-    # one pair at a time: a pair whose images fail a check is skipped, and counted
-    out = 0.0
-    for k in range(n_pairs):
-        try:
-            out = max(out, best(slice(k, k + 1)))
-        except HennionLabError:
-            record.cheap_lower_skips += 1
-    return out
 
 
 def _update_nu(record: ProcessRecord, entry: CTraceEntry) -> None:
@@ -496,30 +463,21 @@ def start_process(
     return record
 
 
-def extend_process(
-    record: ProcessRecord,
-    one_step_channel: SuperOperator | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> ProcessRecord:
+def extend_process(record: ProcessRecord, tols: Tolerances = DEFAULT_TOLS) -> ProcessRecord:
     """Compose one more channel at the next driver index, in place.
 
     For ``gamma_right`` the next channel sits at ``m_anchor - 1`` and is
     composed on the right; for ``phi_left`` it sits at ``n_anchor + 1`` and
     is composed on the left.  The contraction trace is extended with a
-    fresh interval (or, between estimation strides, with the carried-over
-    certified upper bound and a cheap sampled lower bound).  Once the
-    certified upper bound is below ``RESOLUTION_FLOOR`` it is carried with
-    the trivial lower bound 0 and nothing is estimated.
+    fresh estimate while the last certified upper bound is at least
+    ``RESOLUTION_FLOOR``; below it, that bound is carried with the trivial
+    lower bound 0 and nothing is estimated.
     """
     if record.direction == "gamma_right":
         idx = record.m_anchor - 1
     else:
         idx = record.n_anchor + 1
-    step = (
-        one_step_channel
-        if one_step_channel is not None
-        else record.ensemble.channel_at(record.driver.point_at(idx))
-    )
+    step = record.ensemble.channel_at(record.driver.point_at(idx))
     if not step.algebra.compatible(record.composed.algebra):
         raise ShapeMismatchError("step channel lives on a different algebra")
     if record.direction == "gamma_right":
@@ -529,7 +487,7 @@ def extend_process(
         record.composed = compose(step, record.composed)
         record.n_anchor = idx
 
-    if record.length % record.renorm_stride == 0:
+    if record.length % _RENORM_STRIDE == 0:
         alg = record.composed.algebra
         scale = trace(alg, record.composed.apply(alg.identity())).real
         if scale > 0:
@@ -538,16 +496,8 @@ def extend_process(
 
     if record.latest_upper() < RESOLUTION_FLOOR:
         entry = CTraceEntry(record.length, 0.0, record.latest_upper(), False, "carried")
-    elif record.est_opts.stride <= 1 or record.length % record.est_opts.stride == 0:
-        entry = _estimate_entry(record, tols)
     else:
-        entry = CTraceEntry(
-            record.length,
-            _cheap_lower(record, tols),
-            record.latest_upper(),
-            False,
-            "carried",
-        )
+        entry = _estimate_entry(record, tols)
     # composition never grows the constant: recorded bounds stay monotone
     # (clipping a valid lower bound by an earlier one keeps it valid)
     entry.lower = min(entry.lower, record.latest_lower())
@@ -562,16 +512,14 @@ def extend_process(
 # ---------------------------------------------------------------------------
 
 
-def estimate_rate_C(
-    record: ProcessRecord, burn_in: int | None = None, min_c: float = RESOLUTION_FLOOR
-) -> tuple[float, float]:
+def estimate_rate_C(record: ProcessRecord, burn_in: int | None = None) -> tuple[float, float]:
     """Collapse rate from the contraction trace.
 
     Fits log of the geometric interval midpoint against the composition
     length by least squares, after discarding a burn-in prefix.  Entries
-    whose certified upper bound fell below ``min_c`` are excluded: the
-    distance computation saturates at the double-precision floor there and
-    would flatten the tail of the fit.  ``D_prefactor`` is the supremum of
+    whose certified upper bound fell below ``RESOLUTION_FLOOR`` are
+    excluded: the distance computation saturates at the double-precision
+    floor there and would flatten the tail of the fit.  ``D_prefactor`` is the supremum of
     ``upper / kappa**length`` over the entries the fit may use, burn-in
     included.  When any certified upper bound is exactly zero the rate is
     reported as exact zero.  Requires at least ten contracting entries.
@@ -581,7 +529,7 @@ def estimate_rate_C(
         record.rate_C, record.rate_r2 = 0.0, 1.0
         record.rate_exact_zero = True
         return 0.0, 1.0
-    resolved = [e for e in usable if e.upper >= min_c]
+    resolved = [e for e in usable if e.upper >= RESOLUTION_FLOOR]
     if len(resolved) < 10:
         raise NotEnoughDataError(
             f"need >= 10 contracting entries, have {len(resolved)}"
@@ -705,9 +653,6 @@ def rank_one_collapse_check(
     record: ProcessRecord,
     a: AlgebraElement,
     kappa: float | None = None,
-    probe: State | None = None,
-    stabilize_window: int = 20,
-    resolution_floor: float = RESOLUTION_FLOOR,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> CollapseBoundReport:
     """Replay the composition and track the rank-one collapse prefactor.
@@ -716,18 +661,19 @@ def rank_one_collapse_check(
     ``|| P(a)/tau(P(1)) - tau(B a) X ||_1`` is computed from the two
     directional limit estimates (X from the forward projective image, B
     from the dual image of the identity), and the running supremum of
-    ``lhs / (kappa^length ||a||_inf)`` is recorded.  Left sides below the
-    double-precision resolution floor stop updating the supremum: there the
-    computed gap is roundoff while the geometric weight keeps shrinking.
-    The report passes when the supremum stabilizes.
+    ``lhs / (kappa^length ||a||_inf)`` is recorded, with X the image of the
+    maximally mixed state.  Left sides below ``RESOLUTION_FLOOR *
+    ||a||_inf`` stop updating the supremum: there the computed gap is
+    roundoff while the geometric weight keeps shrinking.  The report passes
+    when the supremum moves by at most 1% over its last
+    ``_STABILIZE_WINDOW`` lengths.
     """
     if kappa is None:
         kappa = record.kappa
     if kappa is None:
         raise RejectedInputError("kappa is required (estimate the rate first)")
     alg = record.composed.algebra
-    if probe is None:
-        probe = alg.maximally_mixed()
+    probe = alg.maximally_mixed()
     a_norm = norm(alg, a, "inf")
     if a_norm <= 0:
         raise RejectedInputError("observable must be non-zero")
@@ -764,16 +710,15 @@ def rank_one_collapse_check(
             - trace(alg, b_est @ a) * x_est.element,
             "one",
         )
-        if lhs > resolution_floor * a_norm:
+        if lhs > RESOLUTION_FLOOR * a_norm:
             sup = max(sup, lhs / (kappa**length * a_norm))
         lengths.append(length)
         lhs_values.append(lhs)
         e_running.append(sup)
     stab = False
-    if len(e_running) > stabilize_window:
-        tail = e_running[-stabilize_window:]
+    if len(e_running) > _STABILIZE_WINDOW:
+        tail = e_running[-_STABILIZE_WINDOW:]
         stab = (max(tail) - min(tail)) <= 0.01 * max(tail[-1], 1e-300)
-    record.E_k = sup
     return CollapseBoundReport(lengths, lhs_values, e_running, float(kappa), stab)
 
 
@@ -890,18 +835,3 @@ def run_experiment(
     if plan.kappa is not None:
         record.kappa = plan.kappa
     return ExperimentRows(record=record, rows=rows)
-
-
-def make_standard_ensembles(algebra: TracialAlgebra) -> dict:
-    """Named ensemble builders shared by the CLI and the demos."""
-    return {
-        "replacement": lambda target: ChannelEnsemble.constant(
-            replacement_channel(algebra, target), "replacement"
-        ),
-        "depolarizing": lambda eps: ChannelEnsemble.constant(
-            depolarizing_channel(algebra, eps), f"depolarizing({eps})"
-        ),
-        "transpose": lambda: ChannelEnsemble.constant(
-            transpose_map(algebra), "transpose"
-        ),
-    }

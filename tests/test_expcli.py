@@ -180,7 +180,6 @@ class TestProcessCommand:
         out = tmp_path / "run"
         summary = cmd_process(dict(PROCESS_CONFIG), str(out))
         assert summary["streams"][0]["C"] == pytest.approx(0.5, abs=1e-3)
-        assert summary["streams"][0]["cheap_lower_skips"] == 0
         # one certificate per length; depolarizing(0.5) takes one side from each matrix
         assert summary["streams"][0]["upper_methods"] == {"mixed": 12}
         names = sorted(os.listdir(out))
@@ -242,6 +241,13 @@ class TestProcessCommand:
         cfg["master_seed"] = 999
         cmd_process(dict(cfg), str(out_b))
         assert (out_a / "runs.csv").read_bytes() != (out_b / "runs.csv").read_bytes()
+
+    @pytest.mark.parametrize("key,value", [("stride", 5), ("polish", True)])
+    def test_removed_estimator_keys_exit_2(self, tmp_path, key, value):
+        cfg = {**PROCESS_CONFIG, "estimator": {**PROCESS_CONFIG["estimator"], key: value}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["process", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
 class TestFcsCommand:

@@ -420,7 +420,7 @@ class TestFlankCertificates:
             iid,
             obs,
             window=10,
-            est_opts=EstimatorOptions(n_samples=20, refine_iters=5, polish=True),
+            est_opts=EstimatorOptions(n_samples=20, refine_iters=5),
             est_seed=987,
         )
         assert a.value == b.value and a.truncation_bound == b.truncation_bound

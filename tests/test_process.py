@@ -5,7 +5,6 @@ import pytest
 
 from hennion_lab import norm, process, random_state, trace
 from hennion_lab.errors import (
-    DegeneratePairError,
     InvertibilityViolationError,
     NotEnoughDataError,
     RejectedInputError,
@@ -35,7 +34,7 @@ from hennion_lab.qmaps import (
     transpose_map,
 )
 
-FAST = EstimatorOptions(n_samples=8, refine_iters=0, eta_samples=6, eta_starts=1)
+FAST = EstimatorOptions(n_samples=8, refine_iters=0, eta_samples=6)
 
 
 def closed_form_c(length: int, eps: float = 0.5) -> float:
@@ -264,16 +263,6 @@ class TestFloorCarry:
                 est.upper_method if e.upper == est.upper_bound else "carried"
             )
 
-    def test_stride_entries_carried(self, qubit):
-        ens = ChannelEnsemble.constant(depolarizing_channel(qubit, 0.4))
-        opts = EstimatorOptions(n_samples=8, refine_iters=0, stride=5)
-        res = run_experiment(
-            ErgodicDriver("constant"), ens, ProcessPlan(m_start=1, n_end=12), est_opts=opts
-        )
-        for e in res.record.c_trace:
-            assert (e.upper_method == "carried") == (not e.exact)
-            assert e.exact or e.upper == res.record.c_trace[e.length - 2].upper
-
 
 class TestRate:
     def test_exact_zero_flag(self, qubit, rng):
@@ -456,39 +445,6 @@ class TestRunExperiment:
         r1 = run_experiment(d, ens, plan, est_opts=FAST, probe_seed=1)
         r2 = run_experiment(d, ens, plan, est_opts=FAST, probe_seed=1)
         assert r1.rows == r2.rows
-
-    def test_stride_interpolation(self, qubit):
-        ens = ChannelEnsemble.constant(depolarizing_channel(qubit, 0.4))
-        opts = EstimatorOptions(n_samples=8, refine_iters=0, eta_samples=6, stride=5)
-        res = run_experiment(
-            ErgodicDriver("constant"), ens, ProcessPlan(m_start=1, n_end=20), est_opts=opts
-        )
-        entries = res.record.c_trace
-        assert any(not e.exact for e in entries)
-        uppers = [e.upper for e in entries]
-        assert all(b <= a + 1e-12 for a, b in zip(uppers, uppers[1:]))
-
-    def test_cheap_lower_skips_counted(self, qubit, monkeypatch):
-        distance_many = process.hennion_distance_many
-        calls = []
-
-        def failing_odd_pairs(alg, ya, yb, tols):
-            # the stacked call fails, then every other single pair does
-            calls.append(len(ya[0]))
-            if len(ya[0]) > 1 or len(calls) % 2:
-                raise DegeneratePairError("probe")
-            return distance_many(alg, ya, yb, tols)
-
-        monkeypatch.setattr(process, "hennion_distance_many", failing_odd_pairs)
-        ens = ChannelEnsemble.constant(depolarizing_channel(qubit, 0.4))
-        opts = EstimatorOptions(n_samples=8, refine_iters=0, stride=5)
-        res = run_experiment(
-            ErgodicDriver("constant"), ens, ProcessPlan(m_start=1, n_end=20), est_opts=opts
-        )
-        cheap = sum(not e.exact for e in res.record.c_trace)
-        assert cheap > 0
-        assert calls.count(1) == 6 * cheap
-        assert res.record.cheap_lower_skips == 3 * cheap
 
     def test_sup_condition_logged(self, qubit):
         ens = ChannelEnsemble.random_kraus(qubit, k=2, mix_eps=0.4)
