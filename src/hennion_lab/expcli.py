@@ -193,9 +193,7 @@ PROCESS_CONFIG_SCHEMA = {
                 "n_end": {"type": "integer"},
                 "direction": {"enum": ["gamma_right", "phi_left"]},
                 "probes": {"type": "integer", "minimum": 2},
-                "kappa": {"type": ["number", "null"]},
                 "streams": {"type": "integer", "minimum": 1},
-                "burn_in": {"type": ["integer", "null"]},
             },
             "required": ["m_start", "n_end"],
             "additionalProperties": False,
@@ -239,7 +237,6 @@ FCS_CONFIG_SCHEMA = {
         },
         "observable_a": _OBSERVABLE_SCHEMA,
         "observable_b": _OBSERVABLE_SCHEMA,
-        "estimator": _ESTIMATOR_SCHEMA,
         "tolerances": _TOLERANCES_SCHEMA,
     },
     "required": ["master_seed", "algebra", "bond", "driver", "generator", "plan"],
@@ -558,9 +555,7 @@ def cmd_process(config: dict, out_dir: str) -> dict:
         n_end=int(plan_spec["n_end"]),
         direction=plan_spec.get("direction", "gamma_right"),
         probes=int(plan_spec.get("probes", 3)),
-        kappa=plan_spec.get("kappa"),
         streams=int(plan_spec.get("streams", 1)),
-        burn_in=plan_spec.get("burn_in"),
     )
     observable = _build_observable(config.get("observable"), alg)
     est_opts = _build_estimator(config.get("estimator"))
@@ -596,6 +591,7 @@ def cmd_process(config: dict, out_dir: str) -> dict:
         rec = result.record
         for row in result.rows:
             all_rows.append((run_id, rec.direction) + row)
+        limit_state_skipped = False
         if rec.direction == "gamma_right":
             try:
                 rng = np.random.default_rng(derive_seed(master, f"limit{stream}"))
@@ -608,7 +604,7 @@ def cmd_process(config: dict, out_dir: str) -> dict:
                 )
                 files.append(limit_path)
             except HennionLabError:
-                pass
+                limit_state_skipped = True
         collapse = None
         if rec.direction == "gamma_right" and rec.kappa is not None:
             report = rank_one_collapse_check(rec, observable, tols=tols)
@@ -628,6 +624,13 @@ def cmd_process(config: dict, out_dir: str) -> dict:
                 "nu_optimistic": rec.nu_optimistic,
                 "sup_dual_inverse": rec.sup_dual_inverse,
                 "convergence_errors": rec.convergence_errors,
+                # rows of runs.csv whose column reads NaN: a failed spread or
+                # residual, and every phi_left spread (none is computed)
+                "nan_rows": {
+                    "spread_l1": sum(1 for r in result.rows if r[3] != r[3]),
+                    "residual_inf": sum(1 for r in result.rows if r[4] != r[4]),
+                },
+                "limit_state_skipped": limit_state_skipped,
                 "upper_methods": dict(collections.Counter(e.upper_method for e in rec.c_trace)),
                 "collapse": collapse,
                 "hypothesis_flag": rec.nu_certified is None,
@@ -830,7 +833,6 @@ def _parser() -> argparse.ArgumentParser:
     pf.add_argument("--config", required=True)
     pf.add_argument("--seed", type=int, default=None)
     pf.add_argument("--out", default=None)
-    pf.add_argument("--samples", type=int, default=None)
 
     ps = sub.add_parser("selftest", help="invariant suites")
     ps.add_argument("level", nargs="?", default="quick", choices=["quick", "full"])
@@ -842,8 +844,6 @@ def _load_config(path: str, args) -> tuple[dict, str]:
         config = json.load(fh)
     if args.seed is not None:
         config["master_seed"] = int(args.seed)
-    if args.samples is not None:
-        config.setdefault("estimator", {})["n_samples"] = int(args.samples)
     out_dir = args.out or config.get("output_dir")
     if not out_dir:
         raise RejectedInputError("no output directory (set output_dir or pass --out)")
@@ -871,6 +871,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "process":
             config, out_dir = _load_config(args.config, args)
+            if args.samples is not None:
+                config.setdefault("estimator", {})["n_samples"] = int(args.samples)
             summary = cmd_process(config, out_dir)
             print(json.dumps(summary, sort_keys=True, indent=None if args.json else 1))
             return 0

@@ -43,7 +43,6 @@ from .qmaps import (
     faithfulness_check,
     from_kraus,
     from_strongly_summable,
-    predual,
     projective_action,
     replacement_channel,
     validate_flags,
@@ -359,6 +358,9 @@ class ProcessRecord:
     and composes newer channels on the left as n increases.  The composed
     matrix is rescaled periodically with the log of the accumulated scale
     kept separately; all projective quantities are scale invariant.
+    ``prefixes`` holds the composed matrix at every length, as rescaled,
+    so that per-length diagnostics read the compositions instead of
+    rebuilding them.  ``extend_process`` updates the record in place.
     """
 
     direction: str
@@ -368,6 +370,7 @@ class ProcessRecord:
     m_anchor: int
     composed: SuperOperator
     log_scale: float = 0.0
+    prefixes: list = field(default_factory=list)  # composed.matrix per length
     c_trace: list = field(default_factory=list)
     nu_certified: int | None = None
     nu_optimistic: int | None = None
@@ -456,6 +459,7 @@ def start_process(
         est_opts=est_opts or EstimatorOptions(),
         est_rng_seed=est_rng_seed,
     )
+    record.prefixes.append(ch.matrix)
     entry = _estimate_entry(record, tols)
     record.c_trace.append(entry)
     _update_nu(record, entry)
@@ -493,6 +497,7 @@ def extend_process(record: ProcessRecord, tols: Tolerances = DEFAULT_TOLS) -> Pr
         if scale > 0:
             record.composed = record.composed.rescaled(1.0 / scale)
             record.log_scale += math.log(scale)
+    record.prefixes.append(record.composed.matrix)
 
     if record.latest_upper() < RESOLUTION_FLOOR:
         entry = CTraceEntry(record.length, 0.0, record.latest_upper(), False, "carried")
@@ -512,11 +517,12 @@ def extend_process(record: ProcessRecord, tols: Tolerances = DEFAULT_TOLS) -> Pr
 # ---------------------------------------------------------------------------
 
 
-def estimate_rate_C(record: ProcessRecord, burn_in: int | None = None) -> tuple[float, float]:
+def estimate_rate_C(record: ProcessRecord) -> tuple[float, float]:
     """Collapse rate from the contraction trace.
 
     Fits log of the geometric interval midpoint against the composition
-    length by least squares, after discarding a burn-in prefix.  Entries
+    length by least squares, after discarding the first quarter of the
+    resolved entries (at least one) as burn-in.  Entries
     whose certified upper bound fell below ``RESOLUTION_FLOOR`` are
     excluded: the distance computation saturates at the double-precision
     floor there and would flatten the tail of the fit.  ``D_prefactor`` is the supremum of
@@ -534,8 +540,7 @@ def estimate_rate_C(record: ProcessRecord, burn_in: int | None = None) -> tuple[
         raise NotEnoughDataError(
             f"need >= 10 contracting entries, have {len(resolved)}"
         )
-    if burn_in is None:
-        burn_in = max(1, len(resolved) // 4)
+    burn_in = max(1, len(resolved) // 4)
     entries = resolved[burn_in:] if len(resolved) > burn_in + 2 else resolved
     lengths = np.array([e.length for e in entries], dtype=float)
     mids = np.array(
@@ -551,8 +556,7 @@ def estimate_rate_C(record: ProcessRecord, burn_in: int | None = None) -> tuple[
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     c = float(np.exp(slope))
     record.rate_C, record.rate_r2 = c, r2
-    if record.kappa is None:
-        record.kappa = min(0.999, c + 0.05)
+    record.kappa = min(0.999, c + 0.05)
     record.D_prefactor = max([1.0] + [e.upper / record.kappa**e.length for e in resolved])
     return c, r2
 
@@ -614,15 +618,18 @@ def dual_normalized_value(
 ) -> tuple[float, float]:
     """Scalar collapse of the normalized composition applied to an observable.
 
-    Computes ``Z = P(1)^{-1/2} P(a) P(1)^{-1/2}`` for the composed map P,
-    returns ``tau(Z)`` and the deviation ``||Z - tau(Z) 1||_inf``, which is
-    bounded by eight times the observable norm times the certified
-    contraction bound of the dual composition.
+    Computes ``Z = P(1)^{-1/2} P(a) P(1)^{-1/2}``, where P is the composed
+    map of a ``phi_left`` record and the trace-pairing adjoint of the
+    composed map of a ``gamma_right`` record (the predual of a composition
+    of preduals).  Returns ``tau(Z)`` and the deviation
+    ``||Z - tau(Z) 1||_inf``, which is bounded by eight times the
+    observable norm times the certified contraction bound of the dual
+    composition.
     """
-    if record.direction != "phi_left":
-        raise RejectedInputError("dual normalized values apply to phi_left records")
-    alg = record.composed.algebra
-    p1 = record.composed.apply(alg.identity()).hermitize(tols)
+    composed = record.composed
+    alg = composed.algebra
+    p = composed.apply if record.direction == "phi_left" else composed.apply_dual
+    p1 = p(alg.identity()).hermitize(tols)
     inv_half_blocks = []
     for blk in p1.blocks:
         w, v = np.linalg.eigh(blk)
@@ -632,7 +639,7 @@ def dual_normalized_value(
             )
         inv_half_blocks.append((v / np.sqrt(w)) @ v.conj().T)
     inv_half = AlgebraElement(alg, inv_half_blocks)
-    z = inv_half @ record.composed.apply(a) @ inv_half
+    z = inv_half @ p(a) @ inv_half
     scalar = trace(alg, z).real
     resid = norm(alg, z - scalar * alg.identity(), "inf")
     return scalar, resid
@@ -655,9 +662,10 @@ def rank_one_collapse_check(
     kappa: float | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> CollapseBoundReport:
-    """Replay the composition and track the rank-one collapse prefactor.
+    """Track the rank-one collapse prefactor along the record's prefixes.
 
-    At every length the left side
+    At every length, on the composed map stored in ``record.prefixes``,
+    the left side
     ``|| P(a)/tau(P(1)) - tau(B a) X ||_1`` is computed from the two
     directional limit estimates (X from the forward projective image, B
     from the dual image of the identity), and the running supremum of
@@ -681,26 +689,11 @@ def rank_one_collapse_check(
 
     lengths, lhs_values, e_running = [], [], []
     sup = 0.0
-    if record.direction == "gamma_right":
-        indices = range(record.n_anchor, record.m_anchor - 1, -1)
-    else:
-        indices = range(record.m_anchor, record.n_anchor + 1)
-    current: SuperOperator | None = None
-    for idx in indices:
-        step = record.ensemble.channel_at(record.driver.point_at(idx))
-        if current is None:
-            current = step
-        elif record.direction == "gamma_right":
-            current = compose(current, step)
-        else:
-            current = compose(step, current)
-        length = len(lengths) + 1
+    for length, matrix in enumerate(record.prefixes, start=1):
+        current = SuperOperator(alg, matrix)
         t_one = trace(alg, current.apply(one)).real
         if t_one <= tols.kernel_tol:
             break
-        if t_one < 1e-150 or t_one > 1e150:
-            current = current.rescaled(1.0 / t_one)
-            t_one = 1.0
         x_est = projective_action(current, probe, tols)
         b_img = current.apply_dual(one).hermitize(tols)
         b_est = b_img * (1.0 / trace(alg, b_img).real)
@@ -735,9 +728,7 @@ class ProcessPlan:
     n_end: int
     direction: str = "gamma_right"
     probes: int = 3
-    kappa: float | None = None
     streams: int = 1
-    burn_in: int | None = None
 
     def __post_init__(self):
         if self.n_end < self.m_start:
@@ -788,29 +779,16 @@ def run_experiment(
 
     def push_row():
         entry = record.c_trace[-1]
+        spread = float("nan")
         if plan.direction == "gamma_right":
             try:
                 _, spread = limit_state_estimate(record, probes, tols)
             except HennionLabError:
-                spread = float("nan")
-            dual_view = ProcessRecord(
-                direction="phi_left",
-                driver=record.driver,
-                ensemble=record.ensemble,
-                n_anchor=record.n_anchor,
-                m_anchor=record.m_anchor,
-                composed=predual(record.composed, tols),
-            )
-            try:
-                _, resid = dual_normalized_value(dual_view, observable, tols)
-            except InvertibilityViolationError:
-                resid = float("nan")
-        else:
-            spread = float("nan")
-            try:
-                _, resid = dual_normalized_value(record, observable, tols)
-            except InvertibilityViolationError:
-                resid = float("nan")
+                pass
+        try:
+            _, resid = dual_normalized_value(record, observable, tols)
+        except InvertibilityViolationError:
+            resid = float("nan")
         rows.append(
             (
                 entry.length,
@@ -829,9 +807,7 @@ def run_experiment(
         extend_process(record, tols=tols)
         push_row()
     try:
-        estimate_rate_C(record, plan.burn_in)
+        estimate_rate_C(record)
     except NotEnoughDataError:
         pass
-    if plan.kappa is not None:
-        record.kappa = plan.kappa
     return ExperimentRows(record=record, rows=rows)

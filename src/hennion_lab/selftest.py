@@ -542,7 +542,6 @@ def acc_18_determinism() -> tuple[bool, str]:
         "driver": {"kind": "iid_shift"},
         "generator": {"recipe": "random_unital_cp", "kraus_rank": 2},
         "plan": {"gaps": [1, 2, 3], "window": 10, "birkhoff_n_max": 2},
-        "estimator": {"n_samples": 6, "refine_iters": 0},
     }
     problems = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -46,7 +46,6 @@ FCS_CONFIG = {
     "driver": {"kind": "constant"},
     "generator": {"recipe": "product"},
     "plan": {"gaps": [1, 2], "window": 8},
-    "estimator": {"n_samples": 6, "refine_iters": 0, "eta_samples": 6},
 }
 
 
@@ -249,6 +248,44 @@ class TestProcessCommand:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["process", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key,value", [("kappa", 0.3), ("burn_in", 2)])
+    def test_removed_plan_keys_exit_2(self, tmp_path, key, value):
+        cfg = {**PROCESS_CONFIG, "plan": {**PROCESS_CONFIG["plan"], key: value}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["process", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("direction", ["phi_left", "gamma_right"])
+    def test_nan_rows_counted(self, tmp_path, direction):
+        # replacement onto a pure state: the image of 1 is singular, so every
+        # phi_left residual fails; gamma_right residuals use the dual image of 1
+        pure = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+        cfg = {
+            **PROCESS_CONFIG,
+            "ensemble": {"recipe": "replacement", "target": {"blocks": pure}},
+            "plan": {**PROCESS_CONFIG["plan"], "direction": direction},
+        }
+        out = tmp_path / "run"
+        stream = cmd_process(cfg, str(out))["streams"][0]
+        rows = [line.split(",") for line in open(out / "runs.csv").read().splitlines()[1:]]
+        nan_cells = sum(cell == "nan" for row in rows for cell in row)
+        assert sum(stream["nan_rows"].values()) == nan_cells
+        assert stream["nan_rows"]["residual_inf"] == (len(rows) if direction == "phi_left" else 0)
+        assert stream["limit_state_skipped"] is False
+
+    def test_skipped_limit_state_reported(self, tmp_path, monkeypatch):
+        from hennion_lab import expcli
+        from hennion_lab.errors import KernelStateError
+
+        def fail(*args, **kwargs):
+            raise KernelStateError("probe in the kernel")
+
+        monkeypatch.setattr(expcli, "limit_state_estimate", fail)
+        out = tmp_path / "run"
+        stream = cmd_process(dict(PROCESS_CONFIG), str(out))["streams"][0]
+        assert stream["limit_state_skipped"] is True
+        assert not any(name.startswith("limit_state") for name in os.listdir(out))
+
 
 class TestFcsCommand:
     def test_product_generator_run(self, tmp_path):
@@ -276,6 +313,19 @@ class TestFcsCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["fcs", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_removed_estimator_key_exit_2(self, tmp_path):
+        cfg = {**FCS_CONFIG, "estimator": {"n_samples": 6}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["fcs", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_removed_samples_flag_exit_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(FCS_CONFIG))
+        with pytest.raises(SystemExit) as exc:
+            main(["fcs", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--samples", "6"])
+        assert exc.value.code == 2
 
     def test_covariance_rows(self, tmp_path):
         out = tmp_path / "fcs"

@@ -26,6 +26,7 @@ from hennion_lab.process import (
     stopping_time_nu,
 )
 from hennion_lab.qmaps import (
+    compose,
     contraction_estimate,
     depolarizing_channel,
     predual,
@@ -40,6 +41,16 @@ FAST = EstimatorOptions(n_samples=8, refine_iters=0, eta_samples=6)
 def closed_form_c(length: int, eps: float = 0.5) -> float:
     rho = (1.0 - eps) ** length
     return 2.0 * rho / (1.0 + rho * rho)
+
+
+def collapse_gap(alg, s, a) -> float:
+    """|| s(a)/tau(s(1)) - tau(B a) X ||_1 with X = s(1/d) normalized, B = s*(1) normalized."""
+    one = alg.identity()
+    x = projective_action(s, alg.maximally_mixed())
+    b = s.apply_dual(one)
+    b = b * (1.0 / trace(alg, b).real)
+    scaled = s.apply(a) * (1.0 / trace(alg, s.apply(one)).real)
+    return norm(alg, scaled - trace(alg, b @ a) * x.element, "one")
 
 
 class TestDrivers:
@@ -425,6 +436,56 @@ class TestLimitsAndResiduals:
         # lhs at the identity observable is the collapse gap of the identity
         for length, lhs in zip(report.lengths, report.lhs_values):
             assert lhs <= 2 * closed_form_c(length) + 1e-9
+
+    @pytest.mark.parametrize("direction", ["gamma_right", "phi_left"])
+    def test_collapse_check_reads_the_record(self, qubit, monkeypatch, direction):
+        ens = ChannelEnsemble.random_kraus(qubit, k=3, mix_eps=0.3)
+        d = ErgodicDriver("iid_shift", master_seed=35)
+        n = 30  # past one rescaling of the record's composition
+        res = run_experiment(
+            d, ens, ProcessPlan(m_start=1, n_end=n, direction=direction), est_opts=FAST
+        )
+        a = qubit.element([np.diag([1.0, -1.0])])
+        indices = range(n, 0, -1) if direction == "gamma_right" else range(1, n + 1)
+        current, expected = None, []
+        for idx in indices:
+            step = ens.channel_at(d.point_at(idx))
+            if current is None:
+                current = step
+            elif direction == "gamma_right":
+                current = compose(current, step)
+            else:
+                current = compose(step, current)
+            expected.append(collapse_gap(qubit, current, a))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the composition was rebuilt")
+
+        monkeypatch.setattr(process, "compose", refuse)
+        monkeypatch.setattr(ChannelEnsemble, "channel_at", refuse)
+        report = rank_one_collapse_check(res.record, a, kappa=0.5)
+        assert report.lengths == list(range(1, n + 1))
+        assert report.lhs_values == pytest.approx(expected, rel=1e-9, abs=1e-13)
+
+    def test_dual_value_gamma_right_is_predual_value(self, qubit):
+        from hennion_lab.process import ProcessRecord
+
+        ens = ChannelEnsemble.random_kraus(qubit, k=2, mix_eps=0.4)
+        rec = start_process(
+            ErgodicDriver("iid_shift", master_seed=36), ens, "gamma_right", 0, FAST
+        )
+        for _ in range(5):
+            extend_process(rec)
+        dual_view = ProcessRecord(
+            direction="phi_left",
+            driver=rec.driver,
+            ensemble=ens,
+            n_anchor=rec.n_anchor,
+            m_anchor=rec.m_anchor,
+            composed=predual(rec.composed),
+        )
+        a = qubit.element([np.diag([1.0, -1.0])])
+        assert dual_normalized_value(rec, a) == dual_normalized_value(dual_view, a)
 
 
 class TestRunExperiment:
