@@ -623,6 +623,7 @@ def cmd_process(config: dict, out_dir: str) -> dict:
                 "nu": None if rec.nu_certified is None else rec.nu_certified,
                 "nu_optimistic": rec.nu_optimistic,
                 "sup_dual_inverse": rec.sup_dual_inverse,
+                "sup_dual_inverse_skipped": rec.sup_dual_inverse_skipped,
                 "convergence_errors": rec.convergence_errors,
                 # rows of runs.csv whose column reads NaN: a failed spread or
                 # residual, and every phi_left spread (none is computed)

@@ -384,6 +384,7 @@ class ProcessRecord:
     est_rng_seed: int = 0
     convergence_errors: int = 0
     sup_dual_inverse: float = 0.0  # running sup of ||dual(composed)(composed(1)^-1)||_inf
+    sup_dual_inverse_skipped: int = 0  # lengths left out of that sup
 
     @property
     def length(self) -> int:
@@ -419,21 +420,20 @@ def _update_nu(record: ProcessRecord, entry: CTraceEntry) -> None:
 
 
 def _track_sup_condition(record: ProcessRecord, tols: Tolerances) -> None:
-    # log the final-theorem quantity sup_n ||Gamma*(Gamma(1)^-1)||_inf per run
+    # log the final-theorem quantity sup_n ||Gamma*(Gamma(1)^-1)||_inf per run;
+    # a length whose Gamma(1) is singular, or whose eigen-solver fails, is counted
     alg = record.composed.algebra
     g1 = record.composed.apply(alg.identity()).hermitize(tols)
     try:
-        inv_blocks = []
-        for blk in g1.blocks:
-            w, v = np.linalg.eigh(blk)
-            if w[0] <= 0:
-                return
-            inv_blocks.append((v / w) @ v.conj().T)
-        inv = AlgebraElement(alg, inv_blocks)
-        val = norm(alg, record.composed.apply_dual(inv), "inf")
-        record.sup_dual_inverse = max(record.sup_dual_inverse, val)
+        eigs = [np.linalg.eigh(blk) for blk in g1.blocks]
+        if min(w[0] for w, _ in eigs) > 0:
+            inv = AlgebraElement(alg, [(v / w) @ v.conj().T for w, v in eigs])
+            val = norm(alg, record.composed.apply_dual(inv), "inf")
+            record.sup_dual_inverse = max(record.sup_dual_inverse, val)
+            return
     except np.linalg.LinAlgError:
-        return
+        pass
+    record.sup_dual_inverse_skipped += 1
 
 
 def start_process(

@@ -715,38 +715,54 @@ def _choi_sandwich(
 ) -> tuple[float, float, str]:
     """Sandwich constants ``lam*T <= s <= mu*T`` for ``T(x) = tau(s*(1) x) x0``.
 
-    ``lam`` and ``mu`` are the order coefficients of the block-component
-    Choi matrices of s and T (Choi 1975): ``s - lam*T`` and ``mu*T - s``
-    are then completely positive, hence positive.  The co-Choi matrices
-    prove the same for co-completely-positive differences; each side keeps
-    the better of the two, which is sound since either kind of difference
-    is a positive map.  On M2 every positive map is decomposable
-    (Woronowicz 1976).  Both constants are backed off by a relative 64
+    ``s - lam*T`` and ``mu*T - s`` are proven completely positive, hence
+    positive, by the block-component Choi matrices C(s) and C(T) (Choi
+    1975), or co-completely positive by the co-Choi matrices; each side
+    keeps the better kind, which is sound since either kind of difference
+    is a positive map (on M2 every positive map is decomposable, Woronowicz
+    1976).  Per kind, lam and mu are the extreme eigenvalues of the pencil
+    ``C(T)^{-1/2} C(s) C(T)^{-1/2}`` over the block pairs (lam is 0 below
+    ``rank_tol`` times mu); order coefficients when C(T) is singular, taken
+    only when C(s) is positive.  Both are backed off by a relative 64
     machine epsilons and by ``cert_margin``.  Returns (lam, mu, method).
     """
     alg = s.algebra
     c1 = alg.coefficients(alg.identity())
     t = SuperOperator(alg, np.outer(alg.coefficients(x0.element), s.matrix.T @ c1))
-    dims = [ni * nj for ni in alg.block_dims for nj in alg.block_dims]
-    pairs = TracialAlgebra(dims, [1.0] * len(dims))
-    # C(T) is positive.  m_quantity is exact when C(T) is invertible or
-    # C(s) is positive too; C(T) has the same spectrum on both sides.
-    spectra = [np.linalg.eigvalsh(blk) for blk in _choi_blocks(t)]
-    t_invertible = min(w[0] for w in spectra) > tols.rank_tol * max(w[-1] for w in spectra)
+    # [C(s), co-C(s), C(T), co-C(T)] per block pair, stacked again per pair size
+    kinds = (_choi_blocks(s), _choi_blocks(s, True), _choi_blocks(t), _choi_blocks(t, True))
+    choi = hermitize_stack([np.stack(c) for c in zip(*kinds)], tols)
+    sizes = [blk.shape[-1] for blk in choi]
+    stacks = [np.stack([c for c, d in zip(choi, sizes) if d == n]) for n in sorted(set(sizes))]
+    t_eigs = [np.linalg.eigh(st[:, 2:]) for st in stacks]  # C(T) is positive
+    t_invertible = min(w.min() for w, _ in t_eigs) > tols.rank_tol * max(w.max() for w, _ in t_eigs)
+    sides = []  # (method, lam, mu) of each kind that proves something
+    if t_invertible:
+        lo, hi = np.inf, -np.inf
+        for st, (w, v) in zip(stacks, t_eigs):
+            r = 1.0 / np.sqrt(w)
+            p = r[..., :, None] * (v.conj().swapaxes(-1, -2) @ st[:, :2] @ v) * r[..., None, :]
+            spec = np.linalg.eigvalsh((p + p.conj().swapaxes(-1, -2)) / 2.0)
+            lo, hi = np.minimum(lo, spec[..., 0].min(0)), np.maximum(hi, spec[..., -1].max(0))
+        for method, side_lo, side_hi in zip(("choi", "co_choi"), lo.tolist(), hi.tolist()):
+            sides.append((method, side_lo if side_lo > tols.rank_tol * side_hi else 0.0, side_hi))
+    else:
+        dims = [ni * nj for ni in alg.block_dims for nj in alg.block_dims]
+        pairs = TracialAlgebra(dims, [1.0] * len(dims))
+        for method, co in (("choi", False), ("co_choi", True)):
+            cs = AlgebraElement(pairs, _choi_blocks(s, co))
+            ct = AlgebraElement(pairs, _choi_blocks(t, co))
+            tol = 64.0 * np.finfo(float).eps * norm(pairs, cs, "inf")
+            if is_positive(pairs, cs, tol=tol, tols=tols).positive:
+                side_nu = m_quantity(ct, cs, tols).value
+                side_mu = 1.0 / side_nu if side_nu > 0.0 else np.inf
+                sides.append((method, m_quantity(cs, ct, tols).value, side_mu))
     lam, mu, lam_by, mu_by = 0.0, np.inf, None, None
-    for method, co in (("choi", False), ("co_choi", True)):
-        cs = AlgebraElement(pairs, _choi_blocks(s, co))
-        ct = AlgebraElement(pairs, _choi_blocks(t, co))
-        if not t_invertible and not is_positive(
-            pairs, cs, tol=64.0 * np.finfo(float).eps * norm(pairs, cs, "inf"), tols=tols
-        ).positive:
-            continue
-        side_lam = m_quantity(cs, ct, tols).value
-        side_nu = m_quantity(ct, cs, tols).value
+    for method, side_lam, side_mu in sides:
         if side_lam > lam:
             lam, lam_by = side_lam, method
-        if side_nu > 0.0 and 1.0 / side_nu < mu:
-            mu, mu_by = 1.0 / side_nu, method
+        if side_mu < mu:
+            mu, mu_by = side_mu, method
     shrink = (1.0 - 64.0 * float(np.finfo(float).eps)) * (1.0 - tols.cert_margin)
     lam, mu = max(lam * shrink, 0.0), mu / shrink
     if lam <= 0.0 or not np.isfinite(mu):
@@ -804,8 +820,10 @@ def certified_upper(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> UpperC
     The reference state x0 is the Perron state of ``perron_state``, and
     ``_choi_sandwich`` computes the largest lam and smallest mu with
     ``lam x0 <= s.x/tau(s.x) <= mu x0`` that the Choi and co-Choi matrices
-    prove.  Any two image states y, y' then satisfy ``m(y, y') >= lam/mu``,
-    so the constant is at most ``(1 - r^2)/(1 + r^2)`` with ``r = lam/mu``.
+    prove: the extreme eigenvalues of the pencil ``C(T)^{-1/2} C(s)
+    C(T)^{-1/2}``, or order coefficients when C(T) is singular.  Any two
+    image states y, y' then satisfy ``m(y, y') >= lam/mu``, so the
+    constant is at most ``(1 - r^2)/(1 + r^2)`` with ``r = lam/mu``.
     The sandwich is sound for any x0, so no convergence is needed; no
     search is involved, no random number is drawn, and the bound holds for
     every state.

@@ -181,6 +181,8 @@ class TestProcessCommand:
         assert summary["streams"][0]["C"] == pytest.approx(0.5, abs=1e-3)
         # one certificate per length; depolarizing(0.5) takes one side from each matrix
         assert summary["streams"][0]["upper_methods"] == {"mixed": 12}
+        # every image of 1 is invertible, so every length enters sup_dual_inverse
+        assert summary["streams"][0]["sup_dual_inverse_skipped"] == 0
         names = sorted(os.listdir(out))
         assert "runs.csv" in names and "summary.json" in names
         assert "manifest.json" in names and "c_of_length.dat" in names
@@ -258,7 +260,8 @@ class TestProcessCommand:
     @pytest.mark.parametrize("direction", ["phi_left", "gamma_right"])
     def test_nan_rows_counted(self, tmp_path, direction):
         # replacement onto a pure state: the image of 1 is singular, so every
-        # phi_left residual fails; gamma_right residuals use the dual image of 1
+        # phi_left residual fails; gamma_right residuals use the dual image of 1;
+        # no length enters sup_dual_inverse, in either direction
         pure = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
         cfg = {
             **PROCESS_CONFIG,
@@ -272,6 +275,8 @@ class TestProcessCommand:
         assert sum(stream["nan_rows"].values()) == nan_cells
         assert stream["nan_rows"]["residual_inf"] == (len(rows) if direction == "phi_left" else 0)
         assert stream["limit_state_skipped"] is False
+        assert stream["sup_dual_inverse_skipped"] == len(rows) == 12
+        assert stream["sup_dual_inverse"] == 0.0
 
     def test_skipped_limit_state_reported(self, tmp_path, monkeypatch):
         from hennion_lab import expcli

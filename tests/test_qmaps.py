@@ -19,6 +19,7 @@ from hennion_lab.errors import (
     RejectedInputError,
 )
 from hennion_lab.config import DEFAULT_TOLS
+from hennion_lab.hennion import m_quantity
 from hennion_lab.qmaps import (
     MapFlags,
     SuperOperator,
@@ -44,13 +45,56 @@ from hennion_lab.qmaps import (
     unitalize,
     validate_flags,
 )
-from hennion_lab.qmaps import _choi_is_psd, _choi_sandwich
+from hennion_lab.qmaps import _choi_blocks, _choi_is_psd, _choi_sandwich
 
 
 def random_faithful_map(alg, seed, mix=0.3):
     from hennion_lab.process import ChannelEnsemble
 
     return ChannelEnsemble.random_kraus(alg, k=3, mix_eps=mix).channel_at(seed)
+
+
+def _certificate_maps():
+    """Named maps whose Perron reference state is invertible: random_kraus
+    compositions of length 1-6 on M2, M3 and M2+M2, depolarizing-mixture
+    compositions at lengths 10-60 (down to the double-precision floor),
+    depolarizing after the transpose, and three chain flanks."""
+    from hennion_lab.fcs import random_unital_generator
+    from hennion_lab.process import ChannelEnsemble, ErgodicDriver
+
+    out = []
+    for dims, weights in (([2], [1.0]), ([3], [1.0]), ([2, 2], [1.0, 3.0])):
+        ens = ChannelEnsemble.random_kraus(make_algebra(dims, weights), k=3, mix_eps=0.3)
+        for length in range(1, 7):
+            s = ens.channel_at(500 + 10 * length)
+            for k in range(1, length):
+                s = compose(ens.channel_at(500 + 10 * length + k), s)
+            out.append((f"random_kraus {dims} length {length}", s))
+    qubit = make_algebra([2], [1.0])
+    dep = [depolarizing_channel(qubit, 0.5), depolarizing_channel(qubit, 0.6)]
+    ens = ChannelEnsemble.mixture(dep, [0.5, 0.5])
+    driver = ErgodicDriver("iid_shift", master_seed=7)
+    for length in (10, 30, 45, 60):
+        s = ens.channel_at(driver.point_at(0))
+        for n in range(1, length):
+            s = compose(ens.channel_at(driver.point_at(n)), s)
+        out.append((f"depolarizing mixture length {length}", s))
+    out.append(("depolarizing after transpose", compose(dep[0], transpose_map(qubit))))
+    gen = random_unital_generator(qubit, qubit, kraus_rank=2)
+    for length in (1, 6, 12):
+        flank = np.eye(qubit.dim)
+        for site in range(length):
+            flank = gen.induced_phi(driver.point_at(site)).matrix.T @ flank
+        flags = MapFlags(positive="yes", faithful="yes")
+        out.append((f"chain flank length {length}", SuperOperator(qubit, flank, flags)))
+    return out
+
+
+def _reference_map(s, x0):
+    """T(x) = tau(s*(1) x) x0, the map that ``_choi_sandwich`` compares s with."""
+    alg = s.algebra
+    c1 = alg.coefficients(alg.identity())
+    return SuperOperator(alg, np.outer(alg.coefficients(x0.element), s.matrix.T @ c1))
 
 
 class TestKrausConstruction:
@@ -506,6 +550,114 @@ class TestChoiCertificate:
                 assert est.upper_method == expected
                 seen.add(expected)
         assert seen
+
+    @staticmethod
+    def _order_sides(s, x0):
+        """Per Choi kind: (kind, m(C(s), C(T)), 1/m(C(T), C(s)), C(s) positive),
+        from the four order coefficients of ``hennion.m_quantity``."""
+        from hennion_lab.algebra import AlgebraElement, TracialAlgebra, is_positive
+
+        alg = s.algebra
+        t = _reference_map(s, x0)
+        dims = [ni * nj for ni in alg.block_dims for nj in alg.block_dims]
+        pairs = TracialAlgebra(dims, [1.0] * len(dims))
+        sides = []
+        for kind, co in (("choi", False), ("co_choi", True)):
+            cs = AlgebraElement(pairs, _choi_blocks(s, co))
+            ct = AlgebraElement(pairs, _choi_blocks(t, co))
+            tol = 64.0 * np.finfo(float).eps * norm(pairs, cs, "inf")
+            nu = m_quantity(ct, cs).value
+            sides.append(
+                (kind, m_quantity(cs, ct).value, 1.0 / nu if nu > 0.0 else np.inf,
+                 is_positive(pairs, cs, tol=tol).positive)
+            )
+        return sides
+
+    def test_pencil_matches_order_coefficients(self, monkeypatch):
+        # with C(T) invertible, the extreme eigenvalues of one pencil per kind
+        # give what the four order coefficients give, and m_quantity never runs;
+        # a side where the two kinds agree to roundoff may name either kind
+        maps = _certificate_maps()
+        refs = [self._order_sides(s, perron_state(s)) for _, s in maps]
+
+        def no_order_coefficients(*args, **kwargs):
+            raise AssertionError("m_quantity called with C(T) invertible")
+
+        monkeypatch.setattr(qmaps, "m_quantity", no_order_coefficients)
+        shrink = 1.0 - 64.0 * np.finfo(float).eps
+        untied = 0
+        for (name, s), sides in zip(maps, refs):
+            lam, mu, method = _choi_sandwich(s, perron_state(s), DEFAULT_TOLS)
+            lam_ref = max(side[1] for side in sides)
+            mu_ref = min(side[2] for side in sides)
+            assert lam == pytest.approx(lam_ref * shrink, rel=1e-12), name
+            assert mu == pytest.approx(mu_ref / shrink, rel=1e-12), name
+            lam_by = [k for k, l, _, _ in sides if l >= lam_ref * (1 - 1e-12)]
+            mu_by = [k for k, _, m, _ in sides if m <= mu_ref * (1 + 1e-12)]
+            allowed = {a if a == b else "mixed" for a in lam_by for b in mu_by}
+            assert lam_ref > 0 and method in allowed, name
+            untied += len(allowed) == 1
+        assert untied >= 20
+
+    def test_singular_choi_matrix_proves_no_lower_side(self, qutrit, rng):
+        # Kraus rank 8 on M3: C(s) has a zero eigenvalue, so no lam > 0 has
+        # C(s) >= lam*C(T), the pencil's bottom eigenvalue is roundoff of 0,
+        # and neither kind certifies (nor did the order coefficients)
+        for _ in range(6):
+            g = rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3))
+            w, v = np.linalg.eigh(sum(k.conj().T @ k for k in g))
+            r = (v / np.sqrt(w)) @ v.conj().T
+            s = from_kraus(qutrit, [qutrit.element([k @ r]) for k in g])
+            lam, _, method = _choi_sandwich(s, perron_state(s), DEFAULT_TOLS)
+            assert (lam, method) == (0.0, "none")
+            assert [side[1] for side in self._order_sides(s, perron_state(s))] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("dims", [[2], [2, 2]])
+    def test_singular_reference_takes_order_coefficients(self, dims, rng, monkeypatch):
+        # replacement onto a pure state: the Perron state is that pure state,
+        # so C(T) is singular and the order coefficients decide, bit for bit
+        alg = make_algebra(dims, [1.0] * len(dims))
+        s = replacement_channel(alg, random_state(alg, "pure", rng))
+        x0 = perron_state(s)
+        sides = self._order_sides(s, x0)
+        calls = []
+        monkeypatch.setattr(
+            qmaps, "m_quantity", lambda *a, **k: calls.append(1) or m_quantity(*a, **k)
+        )
+        lam, mu, method = _choi_sandwich(s, x0, DEFAULT_TOLS)
+        assert len(calls) == 4
+        best_lam, best_mu, lam_by, mu_by = 0.0, np.inf, None, None
+        for kind, side_lam, side_mu, positive in sides:
+            if positive and side_lam > best_lam:
+                best_lam, lam_by = side_lam, kind
+            if positive and side_mu < best_mu:
+                best_mu, mu_by = side_mu, kind
+        shrink = 1.0 - 64.0 * float(np.finfo(float).eps)
+        assert (lam, mu) == (best_lam * shrink, best_mu / shrink)
+        assert method == (lam_by if lam_by == mu_by else "mixed") == "choi"
+
+    def test_sandwich_sound_in_extended_precision(self):
+        # C(s) - lam*C(T) and mu*C(T) - C(s), rebuilt from the float Choi
+        # blocks, are positive semidefinite for one kind each, in 60 digits
+        from mpmath import mp
+
+        def min_eig(d):
+            return min(mp.eighe((d + d.H) / 2, eigvals_only=True))
+
+        with mp.workdps(60):
+            for name, s in _certificate_maps()[::2]:
+                cert = certified_upper(s)
+                lam, mu = (mp.mpf(v) for v in cert.sandwich)
+                t = _reference_map(s, cert.fixed_point)
+                low, up = [], []
+                for co in (False, True):
+                    pairs = [
+                        (mp.matrix(cs.tolist()), mp.matrix(ct.tolist()))
+                        for cs, ct in zip(_choi_blocks(s, co), _choi_blocks(t, co))
+                    ]
+                    low.append(min(min_eig(cs - lam * ct) for cs, ct in pairs))
+                    up.append(min(min_eig(mu * ct - cs) for cs, ct in pairs))
+                assert max(low) >= 0 and max(up) >= 0, (name, low, up)
 
     def test_replacement_ties_to_choi(self, qubit, rng):
         s = replacement_channel(qubit, random_state(qubit, "full", rng))
