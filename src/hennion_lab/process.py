@@ -420,8 +420,7 @@ def _update_nu(record: ProcessRecord, entry: CTraceEntry) -> None:
 
 
 def _track_sup_condition(record: ProcessRecord, tols: Tolerances) -> None:
-    # log the final-theorem quantity sup_n ||Gamma*(Gamma(1)^-1)||_inf per run;
-    # a length whose Gamma(1) is singular, or whose eigen-solver fails, is counted
+    # log sup_n ||Gamma*(Gamma(1)^-1)||_inf per run, counting the lengths it skips
     alg = record.composed.algebra
     g1 = record.composed.apply(alg.identity()).hermitize(tols)
     try:

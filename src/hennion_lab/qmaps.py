@@ -715,18 +715,17 @@ def _choi_sandwich(
 ) -> tuple[float, float, str]:
     """Sandwich constants ``lam*T <= s <= mu*T`` for ``T(x) = tau(s*(1) x) x0``.
 
-    ``s - lam*T`` and ``mu*T - s`` are proven completely positive, hence
-    positive, by the block-component Choi matrices C(s) and C(T) (Choi
-    1975), or co-completely positive by the co-Choi matrices; each side
-    keeps the better kind, which is sound since either kind of difference
-    is a positive map (on M2 every positive map is decomposable, Woronowicz
-    1976).  Per kind, lam and mu are the extreme eigenvalues of the pencil
-    ``C(T)^{-1/2} C(s) C(T)^{-1/2}`` over the block pairs (lam is 0 below
-    ``rank_tol`` times mu); order coefficients when C(T) is singular, taken
-    only when C(s) is positive.  Both are backed off by a relative 64
-    machine epsilons and by ``cert_margin``.  Returns (lam, mu, method).
+    ``s - lam*T`` and ``mu*T - s`` are proven (co-)completely positive, so
+    positive, by the block-component (co-)Choi matrices C(s), C(T) (Choi
+    1975; on M2 every positive map is decomposable, Woronowicz 1976).  Per
+    kind, lam and mu are the extreme eigenvalues of the pencil
+    ``C(T)^{-1/2} C(s) C(T)^{-1/2}``, lam 0 if C(s) is singular (order
+    coefficients when C(T) is singular, if C(s) is positive).  The co-Choi
+    kind takes a side (``method``) only by over 64 epsilons.  Both are backed
+    off by 64 epsilons (lam by 8 condition numbers of C(s), C(T) if more).
     """
     alg = s.algebra
+    eps = float(np.finfo(float).eps)
     c1 = alg.coefficients(alg.identity())
     t = SuperOperator(alg, np.outer(alg.coefficients(x0.element), s.matrix.T @ c1))
     # [C(s), co-C(s), C(T), co-C(T)] per block pair, stacked again per pair size
@@ -734,37 +733,41 @@ def _choi_sandwich(
     choi = hermitize_stack([np.stack(c) for c in zip(*kinds)], tols)
     sizes = [blk.shape[-1] for blk in choi]
     stacks = [np.stack([c for c, d in zip(choi, sizes) if d == n]) for n in sorted(set(sizes))]
-    t_eigs = [np.linalg.eigh(st[:, 2:]) for st in stacks]  # C(T) is positive
-    t_invertible = min(w.min() for w, _ in t_eigs) > tols.rank_tol * max(w.max() for w, _ in t_eigs)
-    sides = []  # (method, lam, mu) of each kind that proves something
-    if t_invertible:
-        lo, hi = np.inf, -np.inf
-        for st, (w, v) in zip(stacks, t_eigs):
-            r = 1.0 / np.sqrt(w)
+    eigs = [np.linalg.eigh(st) for st in stacks]
+    lo = np.min([w[:, :, 0].min(0) for w, _ in eigs], 0)  # per kind, over block pairs
+    hi = np.max([w[:, :, -1].max(0) for w, _ in eigs], 0)
+    sides = []  # (method, backed-off lam, mu) of each kind that proves something
+    if lo[2:].min() > tols.rank_tol * hi[2:].max():  # C(T) is positive, and invertible
+        p_lo, p_hi = np.inf, -np.inf
+        for st, (w, v) in zip(stacks, eigs):
+            r, v = 1.0 / np.sqrt(w[:, 2:]), v[:, 2:]
             p = r[..., :, None] * (v.conj().swapaxes(-1, -2) @ st[:, :2] @ v) * r[..., None, :]
             spec = np.linalg.eigvalsh((p + p.conj().swapaxes(-1, -2)) / 2.0)
-            lo, hi = np.minimum(lo, spec[..., 0].min(0)), np.maximum(hi, spec[..., -1].max(0))
-        for method, side_lo, side_hi in zip(("choi", "co_choi"), lo.tolist(), hi.tolist()):
-            sides.append((method, side_lo if side_lo > tols.rank_tol * side_hi else 0.0, side_hi))
+            p_lo = np.minimum(p_lo, spec[..., 0].min(0))
+            p_hi = np.maximum(p_hi, spec[..., -1].max(0))
+        for k in range(2):
+            side_lam = 0.0  # as the order coefficient of a singular C(s)
+            if lo[k] > tols.rank_tol * hi[k]:
+                cond = max(hi[k] / lo[k], hi[2:].max() / lo[2:].min())
+                side_lam = p_lo[k] * (1.0 - max(64.0, 8.0 * cond) * eps)
+            sides.append((("choi", "co_choi")[k], float(side_lam), float(p_hi[k])))
     else:
         dims = [ni * nj for ni in alg.block_dims for nj in alg.block_dims]
         pairs = TracialAlgebra(dims, [1.0] * len(dims))
-        for method, co in (("choi", False), ("co_choi", True)):
-            cs = AlgebraElement(pairs, _choi_blocks(s, co))
-            ct = AlgebraElement(pairs, _choi_blocks(t, co))
-            tol = 64.0 * np.finfo(float).eps * norm(pairs, cs, "inf")
-            if is_positive(pairs, cs, tol=tol, tols=tols).positive:
-                side_nu = m_quantity(ct, cs, tols).value
-                side_mu = 1.0 / side_nu if side_nu > 0.0 else np.inf
-                sides.append((method, m_quantity(cs, ct, tols).value, side_mu))
+        for k, method in enumerate(("choi", "co_choi")):
+            cs, ct = AlgebraElement(pairs, kinds[k]), AlgebraElement(pairs, kinds[2 + k])
+            if is_positive(pairs, cs, tol=64.0 * eps * norm(pairs, cs, "inf"), tols=tols).positive:
+                nu = m_quantity(ct, cs, tols).value
+                side_lam = m_quantity(cs, ct, tols).value * (1.0 - 64.0 * eps)
+                sides.append((method, side_lam, 1.0 / nu if nu > 0.0 else np.inf))
     lam, mu, lam_by, mu_by = 0.0, np.inf, None, None
     for method, side_lam, side_mu in sides:
-        if side_lam > lam:
+        if side_lam > lam * (1.0 + 64.0 * eps):
             lam, lam_by = side_lam, method
-        if side_mu < mu:
+        if side_mu < mu * (1.0 - 64.0 * eps):
             mu, mu_by = side_mu, method
-    shrink = (1.0 - 64.0 * float(np.finfo(float).eps)) * (1.0 - tols.cert_margin)
-    lam, mu = max(lam * shrink, 0.0), mu / shrink
+    shrink = (1.0 - 64.0 * eps) * (1.0 - tols.cert_margin)
+    lam, mu = max(lam * (1.0 - tols.cert_margin), 0.0), mu / shrink  # lam: eps per side
     if lam <= 0.0 or not np.isfinite(mu):
         return lam, mu, "none"
     return lam, mu, lam_by if lam_by == mu_by else "mixed"
@@ -821,12 +824,11 @@ def certified_upper(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> UpperC
     ``_choi_sandwich`` computes the largest lam and smallest mu with
     ``lam x0 <= s.x/tau(s.x) <= mu x0`` that the Choi and co-Choi matrices
     prove: the extreme eigenvalues of the pencil ``C(T)^{-1/2} C(s)
-    C(T)^{-1/2}``, or order coefficients when C(T) is singular.  Any two
-    image states y, y' then satisfy ``m(y, y') >= lam/mu``, so the
-    constant is at most ``(1 - r^2)/(1 + r^2)`` with ``r = lam/mu``.
-    The sandwich is sound for any x0, so no convergence is needed; no
-    search is involved, no random number is drawn, and the bound holds for
-    every state.
+    C(T)^{-1/2}``, order coefficients when C(T) is singular.  Any two image
+    states y, y' then satisfy ``m(y, y') >= lam/mu``, so the constant is at
+    most ``(1 - r^2)/(1 + r^2)``, ``r = lam/mu``.  The sandwich is sound for
+    any x0, so no convergence is needed; no search is involved, no random
+    number is drawn, and the bound holds for every state.
     """
     x = perron_state(s, tols)
     if x is None:
