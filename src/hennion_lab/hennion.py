@@ -22,7 +22,6 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     State,
-    TracialAlgebra,
     hermitize_stack,
     norm,
     trace,
@@ -73,6 +72,74 @@ def _check_pair(x, y) -> tuple[AlgebraElement, AlgebraElement]:
     return xe, ye
 
 
+def _pair_stacks(x, y, tols: Tolerances) -> tuple[list, list]:
+    """``_check_pair``, then both elements as Hermitian stacks of one."""
+    xe, ye = _check_pair(x, y)
+    return tuple(hermitize_stack([blk[None] for blk in e.blocks], tols) for e in (xe, ye))
+
+
+def _pencil_range(x_eigs, y, y_eigs, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme eigenvalues of the support-restricted pencils of pairs (x_k, y_k).
+
+    ``x_eigs`` and ``y_eigs`` are ``eigh`` of two Hermitian stacks, one
+    ``(w, v)`` per block with w of shape (N, n), and ``y`` is the stack of
+    y itself.  Per pair and block, the pencil is y compressed by the
+    pseudo-inverse square root of x on its support: the eigenvalues of x
+    above ``rank_tol`` times its largest one.  Returns the smallest and the
+    largest pencil eigenvalue over the blocks, so that ``m(x, y) = 1/top``.
+    ``top`` is infinite, and m zero, when x has an eigenvalue below
+    ``-pos_tol * max(1, ||x||_inf)`` or the support of y (cut at
+    ``rank_tol`` too) is not inside that of x beyond ``support_tol``; it is
+    at most zero when y is numerically zero.  A block where y has no
+    support puts no constraint.  When every x is invertible the pencils are
+    full and no support test runs: there a block where y has no support
+    cannot raise ``top``, whose pencil is below ``max(y)/max(x)``, which
+    the block holding y's largest eigenvalue reaches.
+    """
+    n_pairs = len(x_eigs[0][0])
+    lo_x = np.min([w[:, 0] for w, _ in x_eigs], axis=0)
+    lam_x = np.max([w[:, -1] for w, _ in x_eigs], axis=0)
+    cut_x = tols.rank_tol * np.maximum(lam_x, 0.0)
+    bottom, top = np.full(n_pairs, np.inf), np.full(n_pairs, -np.inf)
+
+    def pencil_spectra(w, v, yb) -> np.ndarray:
+        root = np.sqrt(w)
+        pencil = v.conj().swapaxes(1, 2) @ yb @ v / root[:, :, None] / root[:, None, :]
+        return np.linalg.eigvalsh((pencil + pencil.conj().swapaxes(1, 2)) / 2.0)
+
+    if (lo_x > cut_x).all():
+        for (w, v), yb in zip(x_eigs, y):
+            spec = pencil_spectra(w, v, yb)
+            bottom, top = np.minimum(bottom, spec[:, 0]), np.maximum(top, spec[:, -1])
+        return bottom, top
+    cut_y = tols.rank_tol * np.maximum(np.max([w[:, -1] for w, _ in y_eigs], axis=0), 0.0)
+    for (w, v), yb, (wy, vy) in zip(x_eigs, y, y_eigs):
+        n = w.shape[1]
+        rank = (w > cut_x[:, None]).sum(axis=1)  # eigh sorts, so x's support is the top `rank`
+        has_y = wy[:, -1] > cut_y
+        for r in np.unique(rank[has_y]):
+            k = np.flatnonzero(has_y & (rank == r))
+            vk = v[k][:, :, n - r :]
+            if r < n:
+                # support containment: ||(1 - p_x) p_y||_inf
+                y_keep = vy[k] * (wy[k] > cut_y[k, None])[:, None, :]
+                resid = y_keep - vk @ (vk.conj().swapaxes(1, 2) @ y_keep)
+                top[k[np.linalg.norm(resid, 2, axis=(1, 2)) > tols.support_tol]] = np.inf
+            if r > 0:
+                spec = pencil_spectra(w[k][:, n - r :], vk, yb[k])
+                bottom[k] = np.minimum(bottom[k], spec[:, 0])
+                top[k] = np.maximum(top[k], spec[:, -1])
+    top[lo_x < -tols.pos_tol * np.maximum(1.0, np.maximum(lam_x, -lo_x))] = np.inf
+    return bottom, top
+
+
+def _order_coefficients(top: np.ndarray) -> np.ndarray:
+    """``m = 1/top`` of ``_pencil_range``; a numerically zero y is rejected."""
+    if (top <= 0.0).any():
+        raise RejectedInputError("second argument is numerically zero")
+    return 1.0 / top
+
+
 def m_quantity(x, y, tols: Tolerances = DEFAULT_TOLS) -> MQuantityResult:
     """Order coefficient via the support-restricted eigenpencil.
 
@@ -83,45 +150,14 @@ def m_quantity(x, y, tols: Tolerances = DEFAULT_TOLS) -> MQuantityResult:
     roundoff of a state and count as zero.  Otherwise the value is the
     reciprocal of the largest eigenvalue of y compressed by the
     pseudo-inverse square root of x on its support, computed block by
-    block.
+    block.  This is ``_pencil_range``, the kernel of every order
+    coefficient in the package, on a stack of one.
     """
-    xe, ye = _check_pair(x, y)
-    alg = xe.algebra
-    xh = xe.hermitize(tols)
-    yh = ye.hermitize(tols)
-    x_eigs = [np.linalg.eigh(blk) for blk in xh.blocks]
-    lo_x = min(float(w[0]) for w, _ in x_eigs)
-    lam_x = max(float(w[-1]) for w, _ in x_eigs)
-    if lo_x < -tols.pos_tol * max(1.0, lam_x, -lo_x):
-        return MQuantityResult(0.0, "eigen_pencil", -1e-12)
-    y_eigs = [np.linalg.eigh(blk) for blk in yh.blocks]
-    lam_y = max(float(w[-1]) for w, _ in y_eigs)
-    cut_x = tols.rank_tol * max(lam_x, 0.0)
-    cut_y = tols.rank_tol * max(lam_y, 0.0)
-
-    best = np.inf
-    for i in range(alg.n_blocks):
-        wy, vy = y_eigs[i]
-        y_keep = vy[:, wy > cut_y]
-        if y_keep.shape[1] == 0:
-            continue  # this block puts no constraint on lambda
-        wx, vx = x_eigs[i]
-        keep = wx > cut_x
-        x_keep = vx[:, keep]
-        # support containment: ||(1 - p_x) p_y||_inf
-        resid = y_keep - x_keep @ (x_keep.conj().T @ y_keep)
-        if resid.size and np.linalg.norm(resid, 2) > tols.support_tol:
-            return MQuantityResult(0.0, "eigen_pencil", -1e-12)
-        d = wx[keep]
-        y_r = x_keep.conj().T @ yh.blocks[i] @ x_keep
-        pencil = y_r / np.sqrt(d)[:, None] / np.sqrt(d)[None, :]
-        pencil = (pencil + pencil.conj().T) / 2.0
-        top = float(np.linalg.eigvalsh(pencil)[-1])
-        if top > 0.0:
-            best = min(best, 1.0 / top)
-    if not np.isfinite(best):
-        raise RejectedInputError("second argument is numerically zero")
-    return MQuantityResult(best, "eigen_pencil", best - 1e-12)
+    xs, ys = _pair_stacks(x, y, tols)
+    x_eigs = [np.linalg.eigh(blk) for blk in xs]
+    y_eigs = [np.linalg.eigh(blk) for blk in ys]
+    value = float(_order_coefficients(_pencil_range(x_eigs, ys, y_eigs, tols)[1])[0])
+    return MQuantityResult(value, "eigen_pencil", value - 1e-12)
 
 
 def _min_eig(x: AlgebraElement) -> float:
@@ -210,79 +246,41 @@ def m_quantity_inf_sampling(
     return MQuantityResult(float(best), "inf_sampling", float(best) - 1e-12)
 
 
-def _m_product(x, y, tols: Tolerances) -> float:
-    return m_quantity(x, y, tols).value * m_quantity(y, x, tols).value
+def _m_products(a: list, b: list, tols: Tolerances) -> np.ndarray:
+    """``m(a_k, b_k) * m(b_k, a_k)`` of two Hermitian stacks, one ``eigh`` per side."""
+    eig_a = [np.linalg.eigh(blk) for blk in a]
+    eig_b = [np.linalg.eigh(blk) for blk in b]
+    return _order_coefficients(_pencil_range(eig_a, b, eig_b, tols)[1]) * _order_coefficients(
+        _pencil_range(eig_b, a, eig_a, tols)[1]
+    )
 
 
 def hennion_distance(x, y, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Projective distance between two states, in [0, 1].
 
     Products of order coefficients below the floor are treated as exactly
-    zero so the distance is reported as exactly one.
+    zero so the distance is reported as exactly one.  This is
+    ``hennion_distance_many`` on a stack of one.
     """
-    q = _m_product(x, y, tols)
-    if q < tols.m_product_floor:
-        return 1.0
-    return max(0.0, (1.0 - q) / (1.0 + q))
+    xe, ye = _check_pair(x, y)
+    return float(hennion_distance_many(*([blk[None] for blk in e.blocks] for e in (xe, ye)), tols)[0])
 
 
 def hennion_distance_many(
-    algebra: TracialAlgebra,
     a: Sequence[np.ndarray],
     b: Sequence[np.ndarray],
     tols: Tolerances = DEFAULT_TOLS,
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """``hennion_distance`` of every pair (a[k], b[k]) of two state stacks.
 
-    ``a`` and ``b`` hold one (N, n, n) array per block of ``algebra``.  When
-    both states of a pair are invertible (every eigenvalue above the rank
-    cut) both order coefficients come from the stacked pencils
-    ``x^{-1/2} y x^{-1/2}``, which is what ``m_quantity`` computes for such
-    a pair.  Any other pair goes to the support-restricted
-    ``hennion_distance``, one pair at a time.  Returns the distances and
-    the number of those singular pairs.
+    ``a`` and ``b`` hold one (N, n, n) array per block.  Both order
+    coefficients of every pair come from the support-restricted pencils of
+    ``_pencil_range``, which make the rules of ``m_quantity`` on every
+    element; the support test runs only on elements whose state is
+    singular in that block.
     """
-    a, b = hermitize_stack(a, tols), hermitize_stack(b, tols)
-    eig_a = [np.linalg.eigh(blk) for blk in a]
-    eig_b = [np.linalg.eigh(blk) for blk in b]
-
-    def invertible(eigs) -> np.ndarray:
-        top = np.max([w[:, -1] for w, _ in eigs], axis=0)
-        low = np.min([w[:, 0] for w, _ in eigs], axis=0)
-        return low > tols.rank_tol * np.maximum(top, 0.0)
-
-    fast = invertible(eig_a) & invertible(eig_b)
-    if not fast.all():
-        eig_a = [(w[fast], v[fast]) for w, v in eig_a]
-        eig_b = [(w[fast], v[fast]) for w, v in eig_b]
-        a_fast = [blk[fast] for blk in a]
-        b_fast = [blk[fast] for blk in b]
-    else:
-        a_fast, b_fast = a, b
-
-    def m_many(x_eigs, ys) -> np.ndarray:
-        # m(x, y) = 1 / max over blocks of the top pencil eigenvalue
-        tops = []
-        for (w, v), y in zip(x_eigs, ys):
-            r = np.sqrt(w)
-            pencil = v.conj().swapaxes(1, 2) @ y @ v / r[:, :, None] / r[:, None, :]
-            pencil = (pencil + pencil.conj().swapaxes(1, 2)) / 2.0
-            tops.append(np.linalg.eigvalsh(pencil)[:, -1])
-        return 1.0 / np.max(tops, axis=0)
-
-    q = m_many(eig_a, b_fast) * m_many(eig_b, a_fast)
-    out = np.ones(len(fast))
-    out[fast] = np.where(
-        q < tols.m_product_floor, 1.0, np.maximum(0.0, (1.0 - q) / (1.0 + q))
-    )
-    singular = np.flatnonzero(~fast)
-    for k in singular:
-        out[k] = hennion_distance(
-            AlgebraElement(algebra, [blk[k] for blk in a]),
-            AlgebraElement(algebra, [blk[k] for blk in b]),
-            tols,
-        )
-    return out, len(singular)
+    q = _m_products(hermitize_stack(a, tols), hermitize_stack(b, tols), tols)
+    return np.where(q < tols.m_product_floor, 1.0, np.maximum(0.0, (1.0 - q) / (1.0 + q)))
 
 
 @dataclass(frozen=True)
@@ -389,5 +387,5 @@ def classify_component(
         return "distance_one"
     if x.is_invertible and y.is_invertible:
         return "same_component"
-    q = _m_product(x, y, tols)
+    q = _m_products(*_pair_stacks(x, y, tols), tols)[0]
     return "distance_one" if q < tols.m_product_floor else "same_component"

@@ -39,7 +39,7 @@ from .errors import (
     RejectedInputError,
     ShapeMismatchError,
 )
-from .hennion import hennion_distance, hennion_distance_many, m_quantity
+from .hennion import _pencil_range, hennion_distance, hennion_distance_many
 
 __all__ = [
     "MapFlags",
@@ -582,12 +582,9 @@ class ContractionEstimate:
     ``lower_bound`` is a sampled (and refined) image diameter, hence always
     a true lower bound: the search runs on stacked kernels, and its winning
     pair is re-evaluated with the scalar ``hennion_distance``, so the value
-    is the distance of two actual image points.  ``singular_pairs`` counts
-    the pairs of the search whose images were not both invertible and so
-    took the exact support-restricted distance one at a time.
-    ``upper_bound`` comes from the sandwich
-    ``lam*T <= s <= mu*T`` around ``T(x) = tau(s*(1) x) x0`` at the Perron
-    state x0 (``perron_state``): every image state lies in
+    is the distance of two actual image points.  ``upper_bound`` comes from
+    the sandwich ``lam*T <= s <= mu*T`` around ``T(x) = tau(s*(1) x) x0`` at
+    the Perron state x0 (``perron_state``): every image state lies in
     ``[lam*x0, mu*x0]``, so the constant is at most ``(1 - r^2)/(1 + r^2)``
     with ``r = lam/mu``, clamped into [lower_bound, 1].  ``sandwich`` holds
     (lam, mu) when x0 is a state, ``eta = min(lam, 1/mu)`` is the symmetric
@@ -611,7 +608,6 @@ class ContractionEstimate:
     best_pair: tuple | None = field(default=None, repr=False)
     sandwich: tuple[float, float] | None = None
     upper_method: str = "none"
-    singular_pairs: int = 0
 
 
 def _axis_pure_vectors(algebra: TracialAlgebra) -> list[tuple[int, np.ndarray]]:
@@ -717,34 +713,33 @@ def _choi_sandwich(
 
     ``s - lam*T`` and ``mu*T - s`` are proven (co-)completely positive, so
     positive, by the block-component (co-)Choi matrices C(s), C(T) (Choi
-    1975; on M2 every positive map is decomposable, Woronowicz 1976).  Per
-    kind, lam and mu are the extreme eigenvalues of the pencil
-    ``C(T)^{-1/2} C(s) C(T)^{-1/2}``, lam 0 if C(s) is singular (order
-    coefficients when C(T) is singular, if C(s) is positive).  The co-Choi
-    kind takes a side (``method``) only by over 64 epsilons.  Both are backed
-    off by 64 epsilons (lam by 8 condition numbers of C(s), C(T) if more).
+    1975; on M2 every positive map is decomposable, Woronowicz 1976).  Both
+    come, per kind, from the order-coefficient kernel
+    ``hennion._pencil_range`` on the Choi stacks.  When C(T) is invertible
+    they are the extreme eigenvalues of the pencil
+    ``C(T)^{-1/2} C(s) C(T)^{-1/2}``, lam 0 if C(s) is singular; when C(T)
+    is singular, ``lam = m(C(s), C(T))`` and ``mu = 1/m(C(T), C(s))`` of
+    the support-restricted pencils, for a kind whose C(s) is positive.  The
+    co-Choi kind takes a side (``method``) only by over 64 epsilons.  Both
+    are backed off by 64 epsilons (lam by 8 condition numbers of C(s), C(T)
+    if more).
     """
     alg = s.algebra
     eps = float(np.finfo(float).eps)
     c1 = alg.coefficients(alg.identity())
     t = SuperOperator(alg, np.outer(alg.coefficients(x0.element), s.matrix.T @ c1))
-    # [C(s), co-C(s), C(T), co-C(T)] per block pair, stacked again per pair size
+    # [C(s), co-C(s), C(T), co-C(T)] per block pair
     kinds = (_choi_blocks(s), _choi_blocks(s, True), _choi_blocks(t), _choi_blocks(t, True))
     choi = hermitize_stack([np.stack(c) for c in zip(*kinds)], tols)
-    sizes = [blk.shape[-1] for blk in choi]
-    stacks = [np.stack([c for c, d in zip(choi, sizes) if d == n]) for n in sorted(set(sizes))]
-    eigs = [np.linalg.eigh(st) for st in stacks]
-    lo = np.min([w[:, :, 0].min(0) for w, _ in eigs], 0)  # per kind, over block pairs
-    hi = np.max([w[:, :, -1].max(0) for w, _ in eigs], 0)
+    eigs = [np.linalg.eigh(c) for c in choi]
+    lo = np.min([w[:, 0] for w, _ in eigs], 0)  # per kind, over block pairs
+    hi = np.max([w[:, -1] for w, _ in eigs], 0)
+    cs, ct = [c[:2] for c in choi], [c[2:] for c in choi]
+    eig_s = [(w[:2], v[:2]) for w, v in eigs]
+    eig_t = [(w[2:], v[2:]) for w, v in eigs]
+    p_lo, p_hi = _pencil_range(eig_t, cs, eig_s, tols)  # of C(s) against C(T), per kind
     sides = []  # (method, backed-off lam, mu) of each kind that proves something
     if lo[2:].min() > tols.rank_tol * hi[2:].max():  # C(T) is positive, and invertible
-        p_lo, p_hi = np.inf, -np.inf
-        for st, (w, v) in zip(stacks, eigs):
-            r, v = 1.0 / np.sqrt(w[:, 2:]), v[:, 2:]
-            p = r[..., :, None] * (v.conj().swapaxes(-1, -2) @ st[:, :2] @ v) * r[..., None, :]
-            spec = np.linalg.eigvalsh((p + p.conj().swapaxes(-1, -2)) / 2.0)
-            p_lo = np.minimum(p_lo, spec[..., 0].min(0))
-            p_hi = np.maximum(p_hi, spec[..., -1].max(0))
         for k in range(2):
             side_lam = 0.0  # as the order coefficient of a singular C(s)
             if lo[k] > tols.rank_tol * hi[k]:
@@ -752,14 +747,12 @@ def _choi_sandwich(
                 side_lam = p_lo[k] * (1.0 - max(64.0, 8.0 * cond) * eps)
             sides.append((("choi", "co_choi")[k], float(side_lam), float(p_hi[k])))
     else:
-        dims = [ni * nj for ni in alg.block_dims for nj in alg.block_dims]
-        pairs = TracialAlgebra(dims, [1.0] * len(dims))
+        m_st = 1.0 / _pencil_range(eig_s, ct, eig_t, tols)[1]  # m(C(s), C(T))
+        m_ts = 1.0 / p_hi  # m(C(T), C(s))
         for k, method in enumerate(("choi", "co_choi")):
-            cs, ct = AlgebraElement(pairs, kinds[k]), AlgebraElement(pairs, kinds[2 + k])
-            if is_positive(pairs, cs, tol=64.0 * eps * norm(pairs, cs, "inf"), tols=tols).positive:
-                nu = m_quantity(ct, cs, tols).value
-                side_lam = m_quantity(cs, ct, tols).value * (1.0 - 64.0 * eps)
-                sides.append((method, side_lam, 1.0 / nu if nu > 0.0 else np.inf))
+            if lo[k] >= -64.0 * eps * max(hi[k], -lo[k]):  # C(s) is positive
+                side_mu = float(1.0 / m_ts[k]) if m_ts[k] > 0.0 else np.inf
+                sides.append((method, float(m_st[k] * (1.0 - 64.0 * eps)), side_mu))
     lam, mu, lam_by, mu_by = 0.0, np.inf, None, None
     for method, side_lam, side_mu in sides:
         if side_lam > lam * (1.0 + 64.0 * eps):
@@ -823,8 +816,9 @@ def certified_upper(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> UpperC
     The reference state x0 is the Perron state of ``perron_state``, and
     ``_choi_sandwich`` computes the largest lam and smallest mu with
     ``lam x0 <= s.x/tau(s.x) <= mu x0`` that the Choi and co-Choi matrices
-    prove: the extreme eigenvalues of the pencil ``C(T)^{-1/2} C(s)
-    C(T)^{-1/2}``, order coefficients when C(T) is singular.  Any two image
+    prove, from the order-coefficient pencils of the two Choi matrices:
+    the extreme eigenvalues of ``C(T)^{-1/2} C(s) C(T)^{-1/2}``, or the
+    order coefficients of C(s) and C(T) when C(T) is singular.  Any two image
     states y, y' then satisfy ``m(y, y') >= lam/mu``, so the constant is at
     most ``(1 - r^2)/(1 + r^2)``, ``r = lam/mu``.  The sandwich is sound for
     any x0, so no convergence is needed; no search is involved, no random
@@ -880,15 +874,10 @@ def contraction_estimate(
     if rng is None:
         rng = np.random.default_rng(0)
 
-    singular = 0
-
     def distances(xa: list, xb: list) -> tuple[np.ndarray, list, list]:
-        nonlocal singular
         ya = projective_action_many(s, xa, tols)
         yb = projective_action_many(s, xb, tols)
-        d, n_singular = hennion_distance_many(alg, ya, yb, tols)
-        singular += n_singular
-        return d, ya, yb
+        return hennion_distance_many(ya, yb, tols), ya, yb
 
     def row(stack: list, k: int) -> list:
         return [blk[k] for blk in stack]
@@ -901,10 +890,9 @@ def contraction_estimate(
     if len(axis) > 1:
         axis_images = projective_action_many(s, _pure_stack(alg, axis), tols)
         ii, jj = np.triu_indices(len(axis), 1)  # pairs i < j, row by row
-        d, n_singular = hennion_distance_many(
-            alg, [blk[ii] for blk in axis_images], [blk[jj] for blk in axis_images], tols
+        d = hennion_distance_many(
+            [blk[ii] for blk in axis_images], [blk[jj] for blk in axis_images], tols
         )
-        singular += n_singular
         k = int(np.argmax(d))  # the first strict maximum
         if d[k] > lower:
             lower = d[k]
@@ -997,7 +985,6 @@ def contraction_estimate(
         best_pair=best_pair,
         sandwich=cert.sandwich,
         upper_method=cert.method,
-        singular_pairs=singular,
     )
 
 

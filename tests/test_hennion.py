@@ -335,31 +335,186 @@ def _stack(states):
     return [np.stack([x.blocks[b] for x in states]) for b in range(alg.n_blocks)]
 
 
+def _bisection_distance(x, y):
+    """The distance from two ``m_quantity_bisection`` values: an oracle that
+    shares no code with the eigenpencil kernel."""
+    q = m_quantity_bisection(x, y, tol=1e-12).value * m_quantity_bisection(y, x, tol=1e-12).value
+    return 1.0 if q < 1e-15 else (1.0 - q) / (1.0 + q)
+
+
+def _axis_states(alg):
+    """The diagonal pure states: one per block and diagonal entry."""
+    out = []
+    for b, n in enumerate(alg.block_dims):
+        for k in range(n):
+            blocks = [np.zeros((m, m)) for m in alg.block_dims]
+            blocks[b][k, k] = 1.0
+            out.append(State.from_element(alg.element(blocks) * (1.0 / alg.trace_weights[b])))
+    return out
+
+
 class TestStackedDistance:
     @pytest.mark.parametrize("alg_name", ["qubit", "qutrit", "two_blocks"])
     def test_invertible_pairs_match_scalar(self, alg_name, request, rng):
         alg = request.getfixturevalue(alg_name)
         xs = [random_state(alg, "full", rng) for _ in range(25)]
         ys = [random_state(alg, "full", rng) for _ in range(25)]
-        d, singular = hennion_distance_many(alg, _stack(xs), _stack(ys))
-        assert singular == 0
+        d = hennion_distance_many(_stack(xs), _stack(ys))
         for k, (x, y) in enumerate(zip(xs, ys)):
-            assert abs(d[k] - hennion_distance(x, y)) <= 1e-12
+            assert abs(d[k] - _bisection_distance(x, y)) <= 1e-9
 
     @pytest.mark.parametrize("alg_name", ["qubit", "qutrit", "two_blocks"])
     def test_pure_and_boundary_pairs_are_counted(self, alg_name, request, rng):
+        # full, pure, boundary and axis states in every combination, in one
+        # stack, so that the support test runs on some elements of a block
         alg = request.getfixturevalue(alg_name)
         kinds = ["full", "pure", "boundary"]
-        xs = [random_state(alg, kinds[k % 3], rng) for k in range(12)]
-        ys = [random_state(alg, kinds[(k // 3) % 3], rng) for k in range(12)]
-        d, singular = hennion_distance_many(alg, _stack(xs), _stack(ys))
-        assert singular == sum(not (x.is_invertible and y.is_invertible) for x, y in zip(xs, ys))
+        states = [random_state(alg, kinds[k % 3], rng) for k in range(6)] + _axis_states(alg)
+        xs = [x for x in states for _ in states]
+        ys = [y for _ in states for y in states]
+        d = hennion_distance_many(_stack(xs), _stack(ys))
+        assert {1.0, 0.0} <= set(np.round(d, 12)) and (d < 1.0).sum() > len(states)
         for k, (x, y) in enumerate(zip(xs, ys)):
-            assert abs(d[k] - hennion_distance(x, y)) <= 1e-12
+            assert abs(d[k] - _bisection_distance(x, y)) <= 1e-9, k
 
     def test_floor_gives_distance_one(self, qubit):
         x = diag_state(qubit, [1.0, 1e-11])
         y = diag_state(qubit, [1e-11, 1.0])
-        d, singular = hennion_distance_many(qubit, _stack([x]), _stack([y]))
-        assert singular == 0
+        d = hennion_distance_many(_stack([x]), _stack([y]))
         assert d[0] == hennion_distance(x, y) == 1.0
+
+
+def _pinned_pairs():
+    """Named (x, y) pairs for ``TestPinnedOrderCoefficients``: singular,
+    ranked, indefinite, support-mismatched, scaled and multi-block."""
+    from hennion_lab import make_algebra
+
+    def diag(alg, *entries):
+        return alg.element([np.diag(np.asarray(e, dtype=complex)) for e in entries])
+
+    def pure(alg, block, v):
+        v = np.asarray(v, dtype=complex)
+        blocks = [np.zeros((n, n), dtype=complex) for n in alg.block_dims]
+        blocks[block] = np.outer(v, v.conj()) / np.vdot(v, v).real
+        return alg.element(blocks)
+
+    m2 = make_algebra([2], [1.0])
+    m3 = make_algebra([3], [1.0])
+    m22 = make_algebra([2, 2], [1.0, 3.0])
+    m2c = make_algebra([2, 1], [1.0, 2.0])
+    m32 = make_algebra([3, 2], [2.0, 1.0])
+    rng = np.random.default_rng(314)
+
+    def draw(alg, kind, rank=None):
+        return random_state(alg, kind, rng, rank=rank).element
+
+    full = draw(m2, "full")
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    w -= v * np.vdot(v, w) / np.vdot(v, v)  # orthogonal to v
+    u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    rank2 = pure(m3, 0, v) + 0.3 * pure(m3, 0, w)
+    rank2b = 0.6 * pure(m3, 0, v + 0.5 * w) + pure(m3, 0, v - 2.0 * w)
+    tilt = np.array([1.0, 0.0]) + np.array([0.0, 1.0]) * 1e-9
+    return [
+        ("projection vs identity", diag(m2, [1, 0]), m2.identity()),
+        ("floor pair", diag(m2, [1, 1e-11]), diag(m2, [1e-11, 1])),
+        ("diagonal family", diag(m2, [1, 0.5]), diag(m2, [1, 0.25])),
+        ("orthogonal pures", diag(m2, [1, 0]), diag(m2, [0, 1])),
+        ("pure vs itself", pure(m2, 0, [1, 1j]), pure(m2, 0, [1, 1j])),
+        ("pure vs full", pure(m2, 0, [1, 2 - 1j]), full),
+        ("below the rank cut", diag(m2, [1, 1e-13]), diag(m2, [1, 0])),
+        ("roundoff negative", diag(m2, [1, -1e-18]), diag(m2, [1, 0])),
+        ("accepted negative", diag(m2, [1, -1e-10]), diag(m2, [1, -1e-10])),
+        ("negative beyond tolerance", diag(m2, [1, -1e-8]), diag(m2, [1, 0])),
+        ("indefinite", diag(m2, [1, -1]), diag(m2, [1, 0])),
+        ("scaled full", 3.7 * full, draw(m2, "full")),
+        ("full pair", draw(m2, "full"), draw(m2, "full")),
+        ("support tilted inside tolerance", pure(m2, 0, tilt), diag(m2, [1, 0])),
+        ("support tilted beyond tolerance", pure(m2, 0, [1, 1e-6]), diag(m2, [1, 0])),
+        ("M3 rank 2 vs pure inside", rank2, pure(m3, 0, v + w)),
+        ("M3 rank 2 vs rank 2, same support", rank2, rank2b),
+        ("M3 rank 2 vs full", rank2, draw(m3, "full")),
+        ("M3 rank 2 vs pure outside", rank2, pure(m3, 0, u)),
+        ("M3 full pair", draw(m3, "full"), draw(m3, "full")),
+        ("M3 ranked pair", draw(m3, "ranked", 2), draw(m3, "ranked", 2)),
+        ("M3 indefinite", draw(m3, "full") - 0.4 * m3.identity(), draw(m3, "full")),
+        ("M2+M2 one block vs full", diag(m22, [1, 0.5], [0, 0]), draw(m22, "full")),
+        ("M2+M2 disjoint blocks", diag(m22, [1, 0.5], [0, 0]), diag(m22, [0, 0], [1, 1])),
+        ("M2+M2 pure inside one block", pure(m22, 0, [1, 1j]), diag(m22, [1, 0.5], [0, 0])),
+        ("M2+M2 one block each way", diag(m22, [1, 0.2], [0, 0]), diag(m22, [0.3, 1], [0, 0])),
+        ("M2+M2 full pair", draw(m22, "full"), draw(m22, "full")),
+        ("M2+M2 full vs one block", draw(m22, "full"), diag(m22, [0, 0], [0.5, 1])),
+        ("M2+M2 pures in two blocks", pure(m22, 0, [1, 2]), pure(m22, 1, [1j, 1])),
+        ("M2+M2 boundary vs pure", draw(m22, "boundary"), draw(m22, "pure")),
+        ("M2+C full pair", draw(m2c, "full"), draw(m2c, "full")),
+        ("M2+C no C part vs full", diag(m2c, [1, 0.5], [0]), draw(m2c, "full")),
+        ("M2+C full vs no C part", draw(m2c, "full"), diag(m2c, [0.4, 1], [0])),
+        ("M2+C C only vs M2 only", diag(m2c, [0, 0], [1]), diag(m2c, [1, 1], [0])),
+        ("M3+M2 full pair", draw(m32, "full"), draw(m32, "full")),
+        ("M3+M2 ranked pair", draw(m32, "ranked", 2), draw(m32, "ranked", 2)),
+        ("M3+M2 boundary vs pure", draw(m32, "boundary"), draw(m32, "pure")),
+        ("M3+M2 rank 1 in a block", diag(m32, [1, 2, 3], [1, 0]), diag(m32, [2, 1, 1], [0.5, 0])),
+        ("M3+M2 indefinite block", diag(m32, [1, 2, 3], [1, -0.1]), draw(m32, "full")),
+        ("M3+M2 small scale", 1e-3 * draw(m32, "full"), draw(m32, "full")),
+    ]
+
+
+class TestPinnedOrderCoefficients:
+    """``m_quantity`` both ways and ``hennion_distance``, bit for bit, as the
+    per-block scalar eigenpencil computed them before the stacked kernel."""
+
+    PINNED = {
+        'projection vs identity': (0.0, 1.0, 1.0),
+        'floor pair': (9.999999999999998e-12, 9.999999999999998e-12, 1.0),
+        'diagonal family': (1.0, 0.5, 0.3333333333333333),
+        'orthogonal pures': (0.0, 0.0, 1.0),
+        'pure vs itself': (1.0000000000000002, 1.0000000000000002, 0.0),
+        'pure vs full': (0.0, 0.8153218657276315, 1.0),
+        'below the rank cut': (1.0, 1.0, 0.0),
+        'roundoff negative': (1.0, 1.0, 0.0),
+        'accepted negative': (1.0, 1.0, 0.0),
+        'negative beyond tolerance': (0.0, 1.0, 1.0),
+        'indefinite': (0.0, 1.0, 1.0),
+        'scaled full': (0.7590275436950681, 0.033411439518764276, 0.950534060521797),
+        'full pair': (0.011937967465743793, 0.10563698272055441, 0.9974809949684342),
+        'support tilted inside tolerance': (1.0, 1.0, 0.0),
+        'support tilted beyond tolerance': (0.0, 0.0, 1.0),
+        'M3 rank 2 vs pure inside': (0.6383936425227824, 0.0, 1.0),
+        'M3 rank 2 vs rank 2, same support': (0.4325835080894395, 0.7031651272957816, 0.5335334255424886),
+        'M3 rank 2 vs full': (0.0, 0.5726175288101402, 1.0),
+        'M3 rank 2 vs pure outside': (0.0, 0.0, 1.0),
+        'M3 full pair': (0.012476489800175097, 0.12904877671465692, 0.9967850248606861),
+        'M3 ranked pair': (0.0, 0.0, 1.0),
+        'M3 indefinite': (0.0, 0.1462244284135833, 1.0),
+        'M2+M2 one block vs full': (0.0, 0.6126219151664922, 1.0),
+        'M2+M2 disjoint blocks': (0.0, 0.0, 1.0),
+        'M2+M2 pure inside one block': (0.0, 0.6666666666666667, 1.0),
+        'M2+M2 one block each way': (0.19999999999999996, 0.3, 0.8867924528301887),
+        'M2+M2 full pair': (0.04008219602887603, 0.0805710180799497, 0.9935618650389872),
+        'M2+M2 full vs one block': (0.023442321534804134, 0.0, 1.0),
+        'M2+M2 pures in two blocks': (0.0, 0.0, 1.0),
+        'M2+M2 boundary vs pure': (0.2972123517314147, 0.0, 1.0),
+        'M2+C full pair': (0.4908090884950078, 0.049073768995729454, 0.9529612643573336),
+        'M2+C no C part vs full': (0.0, 0.6703414814382705, 1.0),
+        'M2+C full vs no C part': (0.41738909389999557, 0.0, 1.0),
+        'M2+C C only vs M2 only': (0.0, 0.0, 1.0),
+        'M3+M2 full pair': (0.019122611043375506, 0.007936867038674958, 0.9996964988209059),
+        'M3+M2 ranked pair': (0.0, 0.0, 1.0),
+        'M3+M2 boundary vs pure': (0.0, 0.0, 1.0),
+        'M3+M2 rank 1 in a block': (0.5, 0.3333333333333333, 0.7142857142857143),
+        'M3+M2 indefinite block': (0.0, 0.059066487645167705, 1.0),
+        'M3+M2 small scale': (3.2085545675730632e-06, 10.812316825529582, 0.9999306185899004),
+    }
+
+    def test_values_unchanged(self):
+        pairs = _pinned_pairs()
+        assert [name for name, _, _ in pairs] == list(self.PINNED)
+        for name, x, y in pairs:
+            got = (m_quantity(x, y).value, m_quantity(y, x).value, hennion_distance(x, y))
+            assert got == self.PINNED[name], name
+
+    def test_negative_second_argument_rejected(self, qubit):
+        with pytest.raises(RejectedInputError, match="numerically zero"):
+            m_quantity(qubit.identity(), -1.0 * qubit.identity())
+        assert m_quantity(-1.0 * qubit.identity(), qubit.identity()).value == 0.0
