@@ -726,11 +726,18 @@ def _choi_sandwich(
     """
     alg = s.algebra
     eps = float(np.finfo(float).eps)
-    c1 = alg.coefficients(alg.identity())
-    t = SuperOperator(alg, np.outer(alg.coefficients(x0.element), s.matrix.T @ c1))
-    # [C(s), co-C(s), C(T), co-C(T)] per block pair
-    kinds = (_choi_blocks(s), _choi_blocks(s, True), _choi_blocks(t), _choi_blocks(t, True))
-    choi = hermitize_stack([np.stack(c) for c in zip(*kinds)], tols)
+    # [C(s), co-C(s), C(T), co-C(T)] per block pair (i, j): the co-Choi matrix
+    # is the partial transpose of the Choi matrix, and the unit E_kl of block
+    # i goes to tau(s*(1) E_kl) x0 = c_i s*(1)_i[l, k] x0, so C(T) is a
+    # Kronecker product
+    blocks = iter(_choi_blocks(s))
+    stacks = []
+    for ci, ni, di in zip(alg.trace_weights, alg.block_dims, s.apply_dual(alg.identity()).blocks):
+        for nj, xj in zip(alg.block_dims, x0.element.blocks):
+            c = next(blocks)
+            co = c.reshape(ni, nj, ni, nj).swapaxes(0, 2).reshape(ni * nj, ni * nj)
+            stacks.append(np.stack([c, co, np.kron(ci * di.T, xj), np.kron(ci * di, xj)]))
+    choi = hermitize_stack(stacks, tols)
     eigs = [np.linalg.eigh(c) for c in choi]
     lo = np.min([w[:, 0] for w, _ in eigs], 0)  # per kind, over block pairs
     hi = np.max([w[:, -1] for w, _ in eigs], 0)

@@ -120,6 +120,18 @@ def _reference_map(s, x0):
     return SuperOperator(alg, np.outer(alg.coefficients(x0.element), s.matrix.T @ c1))
 
 
+def _reference_choi(s, x0, co):
+    """The (co-)Choi blocks of ``_reference_map(s, x0)`` as ``_choi_sandwich``
+    builds them: ``(c_i s*(1)_i)^T (x) x0_j``, not transposed for co-Choi."""
+    alg = s.algebra
+    dual = s.apply_dual(alg.identity()).blocks
+    return [
+        np.kron(c * (di if co else di.T), xj)
+        for c, di in zip(alg.trace_weights, dual)
+        for xj in x0.element.blocks
+    ]
+
+
 class TestKrausConstruction:
     def test_single_identity_kraus(self, qubit):
         s = from_kraus(qubit, [qubit.identity()])
@@ -582,13 +594,12 @@ class TestChoiCertificate:
         from hennion_lab.algebra import AlgebraElement, TracialAlgebra, is_positive
 
         alg = s.algebra
-        t = _reference_map(s, x0)
         dims = [ni * nj for ni in alg.block_dims for nj in alg.block_dims]
         pairs = TracialAlgebra(dims, [1.0] * len(dims))
         sides = []
         for kind, co in (("choi", False), ("co_choi", True)):
             cs = AlgebraElement(pairs, _choi_blocks(s, co))
-            ct = AlgebraElement(pairs, _choi_blocks(t, co))
+            ct = AlgebraElement(pairs, _reference_choi(s, x0, co))
             tol = 64.0 * np.finfo(float).eps * norm(pairs, cs, "inf")
             nu = m_quantity(ct, cs).value
             ws, wt = (
