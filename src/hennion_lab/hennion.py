@@ -72,29 +72,22 @@ def _check_pair(x, y) -> tuple[AlgebraElement, AlgebraElement]:
     return xe, ye
 
 
-def _pair_stacks(x, y, tols: Tolerances) -> tuple[list, list]:
-    """``_check_pair``, then both elements as Hermitian stacks of one."""
-    xe, ye = _check_pair(x, y)
-    return tuple(hermitize_stack([blk[None] for blk in e.blocks], tols) for e in (xe, ye))
+def _pair_stacks(x, y) -> tuple[list, list]:
+    """``_check_pair``, then both elements as stacks of one."""
+    return tuple([blk[None] for blk in e.blocks] for e in _check_pair(x, y))
 
 
 def _pencil_range(x_eigs, y, y_eigs, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Extreme eigenvalues of the support-restricted pencils of pairs (x_k, y_k).
 
     ``x_eigs`` and ``y_eigs`` are ``eigh`` of two Hermitian stacks, one
-    ``(w, v)`` per block with w of shape (N, n), and ``y`` is the stack of
-    y itself.  Per pair and block, the pencil is y compressed by the
-    pseudo-inverse square root of x on its support: the eigenvalues of x
-    above ``rank_tol`` times its largest one.  Returns the smallest and the
-    largest pencil eigenvalue over the blocks, so that ``m(x, y) = 1/top``.
-    ``top`` is infinite, and m zero, when x has an eigenvalue below
-    ``-pos_tol * max(1, ||x||_inf)`` or the support of y (cut at
-    ``rank_tol`` too) is not inside that of x beyond ``support_tol``; it is
-    at most zero when y is numerically zero.  A block where y has no
-    support puts no constraint.  When every x is invertible the pencils are
-    full and no support test runs: there a block where y has no support
-    cannot raise ``top``, whose pencil is below ``max(y)/max(x)``, which
-    the block holding y's largest eigenvalue reaches.
+    ``(w, v)`` per block with w of shape (N, n); ``y`` is y's stack.
+    Returns the smallest and largest pencil eigenvalue over the blocks, with
+    the rules of ``m_quantity``, so that ``m(x, y) = 1/top``: top is
+    infinite where m is 0, and at most 0 where y is numerically zero.  With
+    every x invertible no support test runs, and a block where y has no
+    support is not skipped: its pencil stays below ``max(y)/max(x)``, which
+    the block of y's largest eigenvalue reaches.
     """
     n_pairs = len(x_eigs[0][0])
     lo_x = np.min([w[:, 0] for w, _ in x_eigs], axis=0)
@@ -153,9 +146,8 @@ def m_quantity(x, y, tols: Tolerances = DEFAULT_TOLS) -> MQuantityResult:
     block.  This is ``_pencil_range``, the kernel of every order
     coefficient in the package, on a stack of one.
     """
-    xs, ys = _pair_stacks(x, y, tols)
-    x_eigs = [np.linalg.eigh(blk) for blk in xs]
-    y_eigs = [np.linalg.eigh(blk) for blk in ys]
+    xs, ys = (hermitize_stack(u, tols) for u in _pair_stacks(x, y))
+    x_eigs, y_eigs = ([np.linalg.eigh(blk) for blk in u] for u in (xs, ys))
     value = float(_order_coefficients(_pencil_range(x_eigs, ys, y_eigs, tols)[1])[0])
     return MQuantityResult(value, "eigen_pencil", value - 1e-12)
 
@@ -247,12 +239,11 @@ def m_quantity_inf_sampling(
 
 
 def _m_products(a: list, b: list, tols: Tolerances) -> np.ndarray:
-    """``m(a_k, b_k) * m(b_k, a_k)`` of two Hermitian stacks, one ``eigh`` per side."""
-    eig_a = [np.linalg.eigh(blk) for blk in a]
-    eig_b = [np.linalg.eigh(blk) for blk in b]
-    return _order_coefficients(_pencil_range(eig_a, b, eig_b, tols)[1]) * _order_coefficients(
-        _pencil_range(eig_b, a, eig_a, tols)[1]
-    )
+    """``m(a_k, b_k) * m(b_k, a_k)`` of two stacks, one ``eigh`` per side."""
+    a, b = hermitize_stack(a, tols), hermitize_stack(b, tols)
+    ea, eb = ([np.linalg.eigh(blk) for blk in u] for u in (a, b))
+    top_ab, top_ba = (_pencil_range(*args, tols)[1] for args in ((ea, b, eb), (eb, a, ea)))
+    return _order_coefficients(top_ab) * _order_coefficients(top_ba)
 
 
 def hennion_distance(x, y, tols: Tolerances = DEFAULT_TOLS) -> float:
@@ -262,8 +253,7 @@ def hennion_distance(x, y, tols: Tolerances = DEFAULT_TOLS) -> float:
     zero so the distance is reported as exactly one.  This is
     ``hennion_distance_many`` on a stack of one.
     """
-    xe, ye = _check_pair(x, y)
-    return float(hennion_distance_many(*([blk[None] for blk in e.blocks] for e in (xe, ye)), tols)[0])
+    return float(hennion_distance_many(*_pair_stacks(x, y), tols)[0])
 
 
 def hennion_distance_many(
@@ -274,12 +264,10 @@ def hennion_distance_many(
     """``hennion_distance`` of every pair (a[k], b[k]) of two state stacks.
 
     ``a`` and ``b`` hold one (N, n, n) array per block.  Both order
-    coefficients of every pair come from the support-restricted pencils of
-    ``_pencil_range``, which make the rules of ``m_quantity`` on every
-    element; the support test runs only on elements whose state is
-    singular in that block.
+    coefficients of every pair come from the kernel of ``m_quantity``,
+    whose support test runs only on elements singular in a block.
     """
-    q = _m_products(hermitize_stack(a, tols), hermitize_stack(b, tols), tols)
+    q = _m_products(a, b, tols)
     return np.where(q < tols.m_product_floor, 1.0, np.maximum(0.0, (1.0 - q) / (1.0 + q)))
 
 
@@ -387,5 +375,5 @@ def classify_component(
         return "distance_one"
     if x.is_invertible and y.is_invertible:
         return "same_component"
-    q = _m_products(*_pair_stacks(x, y, tols), tols)[0]
+    q = _m_products(*_pair_stacks(x, y), tols)[0]
     return "distance_one" if q < tols.m_product_floor else "same_component"

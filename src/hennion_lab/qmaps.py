@@ -726,15 +726,12 @@ def _choi_sandwich(
     """
     alg = s.algebra
     eps = float(np.finfo(float).eps)
-    # [C(s), co-C(s), C(T), co-C(T)] per block pair (i, j): the co-Choi matrix
-    # is the partial transpose of the Choi matrix, and the unit E_kl of block
-    # i goes to tau(s*(1) E_kl) x0 = c_i s*(1)_i[l, k] x0, so C(T) is a
-    # Kronecker product
-    blocks = iter(_choi_blocks(s))
+    # [C(s), co-C(s), C(T), co-C(T)] per block pair (i, j): co-Choi is the partial
+    # transpose of Choi, and T(E_kl) = c_i s*(1)_i[l, k] x0 makes C(T) a Kronecker product
+    choi = iter(_choi_blocks(s))
     stacks = []
     for ci, ni, di in zip(alg.trace_weights, alg.block_dims, s.apply_dual(alg.identity()).blocks):
-        for nj, xj in zip(alg.block_dims, x0.element.blocks):
-            c = next(blocks)
+        for nj, xj, c in zip(alg.block_dims, x0.element.blocks, choi):
             co = c.reshape(ni, nj, ni, nj).swapaxes(0, 2).reshape(ni * nj, ni * nj)
             stacks.append(np.stack([c, co, np.kron(ci * di.T, xj), np.kron(ci * di, xj)]))
     choi = hermitize_stack(stacks, tols)
