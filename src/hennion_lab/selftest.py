@@ -22,9 +22,11 @@ from scipy import stats
 from .algebra import (
     AlgebraElement,
     State,
+    checked_state_stack,
     make_algebra,
     norm,
     random_state,
+    random_state_stack,
     trace,
 )
 from .errors import HennionLabError
@@ -39,6 +41,7 @@ from .fcs import (
 from .hennion import (
     classify_component,
     hennion_distance,
+    hennion_distance_many,
     line_decomposition,
     m_quantity,
     m_quantity_bisection,
@@ -171,29 +174,30 @@ def acc_03_diagonal_family_anchor() -> tuple[bool, str]:
     return ok, f"product err {abs(prod - 0.5):.2e}, d err {abs(d - 1 / 3):.2e}"
 
 
+def _trace_norms(alg, a: list, b: list) -> np.ndarray:
+    """``norm(alg, a_k - b_k, "one")`` of two stacks, one SVD per block."""
+    return sum(
+        c * np.linalg.svd(p - q, compute_uv=False).sum(axis=1)
+        for c, p, q in zip(alg.trace_weights, a, b)
+    )
+
+
 def acc_04_metric_axioms(n_triples: int = 10_000) -> tuple[bool, str]:
     alg = ALGEBRAS["M2"]()
-    rng = np.random.default_rng(104)
-    v_sym = v_tri = v_dom = v_id = 0.0
-    for i in range(n_triples):
-        x = random_state(alg, "full", rng)
-        y = random_state(alg, "full", rng)
-        z = random_state(alg, "full", rng)
-        dxy = hennion_distance(x, y)
-        v_sym = max(v_sym, abs(dxy - hennion_distance(y, x)))
-        v_tri = max(
-            v_tri, hennion_distance(x, z) - dxy - hennion_distance(y, z)
-        )
-        v_dom = max(v_dom, 0.5 * norm(alg, x.element - y.element, "one") - dxy)
-        if i % 100 == 0:
-            v_id = max(v_id, hennion_distance(x, x))
-            near = State.from_element(
-                (x.element * (1.0 - 2.5e-7) + y.element * 2.5e-7)
-            )
-            if hennion_distance(x, near) <= 1e-8:
-                # identity of indiscernibles at tolerance: d small => 1-norm small
-                v_id = max(v_id, norm(alg, x.element - near.element, "one") - 1e-6)
-    ok = v_sym <= 1e-10 and v_tri <= 1e-9 and v_dom <= 1e-10 and v_id <= 1e-8
+    states = random_state_stack(alg, ["full"] * (3 * n_triples), np.random.default_rng(104))
+    x, y, z = ([blk[k::3] for blk in states] for k in range(3))
+    dxy = hennion_distance_many(x, y)
+    v_sym = np.abs(dxy - hennion_distance_many(y, x)).max()
+    v_tri = (hennion_distance_many(x, z) - dxy - hennion_distance_many(y, z)).max()
+    v_dom = (0.5 * _trace_norms(alg, x, y) - dxy).max()
+    # every 100th triple: identity, and identity of indiscernibles at
+    # tolerance (d small => 1-norm small) against a 2.5e-7 mixture with y
+    x, y = ([blk[::100] for blk in u] for u in (x, y))
+    near = checked_state_stack(alg, [a * (1.0 - 2.5e-7) + b * 2.5e-7 for a, b in zip(x, y)])[0]
+    close = hennion_distance_many(x, near) <= 1e-8
+    gaps = _trace_norms(alg, x, near)[close] - 1e-6
+    v_id = max(hennion_distance_many(x, x).max(), gaps.max(initial=0.0))
+    ok = bool(v_sym <= 1e-10 and v_tri <= 1e-9 and v_dom <= 1e-10 and v_id <= 1e-8)
     return (
         ok,
         f"sym {v_sym:.1e}, triangle violation {max(v_tri, 0):.1e}, "
@@ -203,20 +207,15 @@ def acc_04_metric_axioms(n_triples: int = 10_000) -> tuple[bool, str]:
 
 def acc_05_component_geometry(n_instances: int = 1000) -> tuple[bool, str]:
     alg = ALGEBRAS["M2+M2"]()
-    rng = np.random.default_rng(105)
-    bad = 0
-    for i in range(n_instances):
-        inv = random_state(alg, "full", rng)
-        sing = random_state(alg, "boundary" if i % 2 else "pure", rng)
-        d_mixed = hennion_distance(inv, sing)
-        if d_mixed != 1.0 or classify_component(inv, sing) != "distance_one":
-            bad += 1
-        other = random_state(alg, "full", rng)
-        if hennion_distance(inv, other) >= 1.0 or classify_component(
-            inv, other
-        ) != "same_component":
-            bad += 1
-    return bad == 0, f"{bad} violations in {2 * n_instances} classified pairs"
+    kinds = [k for i in range(n_instances) for k in ("full", ("pure", "boundary")[i % 2], "full")]
+    stacks = random_state_stack(alg, kinds, np.random.default_rng(105))
+    inv, sing, other = ([blk[k::3] for blk in stacks] for k in range(3))
+    states = [State.from_element(AlgebraElement(alg, list(blocks))) for blocks in zip(*stacks)]
+    mixed = [classify_component(a, b) != "distance_one" for a, b in zip(states[::3], states[1::3])]
+    same = [classify_component(a, c) != "same_component" for a, c in zip(states[::3], states[2::3])]
+    bad = np.count_nonzero((hennion_distance_many(inv, sing) != 1.0) | mixed)
+    bad += np.count_nonzero((hennion_distance_many(inv, other) >= 1.0) | same)
+    return bool(bad == 0), f"{bad} violations in {2 * n_instances} classified pairs"
 
 
 def acc_06_contraction_anchors() -> tuple[bool, str]:
