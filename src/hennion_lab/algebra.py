@@ -33,6 +33,7 @@ __all__ = [
     "random_state",
     "random_state_stack",
     "trace_stack",
+    "trace_norm_stack",
     "hermitize_stack",
     "checked_state_stack",
     "tensor_algebra",
@@ -324,12 +325,7 @@ def norm(algebra: TracialAlgebra, x: AlgebraElement, which: str = "one") -> floa
     """
     algebra._check_member(x)
     if which == "one":
-        return float(
-            sum(
-                c * np.linalg.svd(blk, compute_uv=False).sum()
-                for c, blk in zip(algebra.trace_weights, x.blocks)
-            )
-        )
+        return float(trace_norm_stack(algebra, [blk[None] for blk in x.blocks])[0])
     if which == "two":
         return float(
             np.sqrt(
@@ -487,6 +483,14 @@ def trace_stack(algebra: TracialAlgebra, stacks: Sequence[np.ndarray]) -> np.nda
     """Real parts of tau over a stack, shape (N,)."""
     return sum(
         c * np.trace(blk, axis1=1, axis2=2).real
+        for c, blk in zip(algebra.trace_weights, stacks)
+    )
+
+
+def trace_norm_stack(algebra: TracialAlgebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Trace norms ``tau(|x|)`` over a stack, shape (N,): one SVD per block."""
+    return sum(
+        c * np.linalg.svd(blk, compute_uv=False).sum(axis=1)
         for c, blk in zip(algebra.trace_weights, stacks)
     )
 
