@@ -733,7 +733,9 @@ def _choi_sandwich(
     for ci, ni, di in zip(alg.trace_weights, alg.block_dims, s.apply_dual(alg.identity()).blocks):
         for nj, xj, c in zip(alg.block_dims, x0.element.blocks, choi):
             co = c.reshape(ni, nj, ni, nj).swapaxes(0, 2).reshape(ni * nj, ni * nj)
-            stacks.append(np.stack([c, co, np.kron(ci * di.T, xj), np.kron(ci * di, xj)]))
+            d = ci * np.stack([di.T, di])  # C(T), co-C(T) = d (x) x0_j, without np.kron's overhead
+            ct = (d[:, :, None, :, None] * xj[None, None, :, None, :]).reshape(2, ni * nj, ni * nj)
+            stacks.append(np.concatenate([np.stack([c, co]), ct]))
     choi = hermitize_stack(stacks, tols)
     eigs = [np.linalg.eigh(c) for c in choi]
     lo = np.min([w[:, 0] for w, _ in eigs], 0)  # per kind, over block pairs
