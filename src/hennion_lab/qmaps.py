@@ -728,14 +728,14 @@ def _choi_sandwich(
     eps = float(np.finfo(float).eps)
     # [C(s), co-C(s), C(T), co-C(T)] per block pair (i, j): co-Choi is the partial
     # transpose of Choi, and T(E_kl) = c_i s*(1)_i[l, k] x0 makes C(T) a Kronecker product
-    choi = iter(_choi_blocks(s))
+    blocks = iter(_choi_blocks(s))
     stacks = []
     for ci, ni, di in zip(alg.trace_weights, alg.block_dims, s.apply_dual(alg.identity()).blocks):
-        for nj, xj, c in zip(alg.block_dims, x0.element.blocks, choi):
+        for nj, xj, c in zip(alg.block_dims, x0.element.blocks, blocks):
             co = c.reshape(ni, nj, ni, nj).swapaxes(0, 2).reshape(ni * nj, ni * nj)
             d = ci * np.stack([di.T, di])  # C(T), co-C(T) = d (x) x0_j, without np.kron's overhead
-            ct = (d[:, :, None, :, None] * xj[None, None, :, None, :]).reshape(2, ni * nj, ni * nj)
-            stacks.append(np.concatenate([np.stack([c, co]), ct]))
+            t2 = (d[:, :, None, :, None] * xj[None, None, :, None, :]).reshape(2, ni * nj, ni * nj)
+            stacks.append(np.concatenate([np.stack([c, co]), t2]))
     choi = hermitize_stack(stacks, tols)
     eigs = [np.linalg.eigh(c) for c in choi]
     lo = np.min([w[:, 0] for w, _ in eigs], 0)  # per kind, over block pairs
