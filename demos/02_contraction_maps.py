@@ -38,7 +38,7 @@ def report(name, s, **kwargs):
     verdict = is_strict_contraction(s, est)
     print(
         f"{name:<28} c in [{est.lower_bound:.6f}, {est.upper_bound:.6f}]"
-        f"  eta={est.eta:.4f} via {est.upper_method:<7}  {verdict}"
+        f"  eta={est.cert.eta:.4f} via {est.cert.method:<7}  {verdict}"
     )
     return est
 

@@ -15,7 +15,7 @@ from .algebra import (
     tensor_element,
     trace,
 )
-from .config import DEFAULT_TOLS, Tolerances
+from .config import TOLS
 from .hennion import (
     LineDecomposition,
     MQuantityResult,
@@ -42,8 +42,7 @@ __all__ = [
     "tensor_algebra",
     "tensor_element",
     "trace",
-    "DEFAULT_TOLS",
-    "Tolerances",
+    "TOLS",
     "LineDecomposition",
     "MQuantityResult",
     "classify_component",

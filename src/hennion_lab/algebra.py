@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import TOLS
 from .errors import RejectedInputError, ShapeMismatchError
 
 __all__ = [
@@ -238,9 +238,9 @@ class AlgebraElement:
     def H(self) -> "AlgebraElement":
         return self.adjoint()
 
-    def hermitize(self, tols: Tolerances = DEFAULT_TOLS) -> "AlgebraElement":
+    def hermitize(self) -> "AlgebraElement":
         """Symmetrize when the anti-Hermitian part is tiny, reject otherwise."""
-        blocks = hermitize_stack([blk[None] for blk in self.blocks], tols)
+        blocks = hermitize_stack([blk[None] for blk in self.blocks])
         return AlgebraElement(self.algebra, [blk[0] for blk in blocks])
 
     def __repr__(self) -> str:
@@ -269,12 +269,10 @@ class State:
     component_tag: str  # "invertible" or "singular"
 
     @staticmethod
-    def from_element(
-        x: AlgebraElement, tols: Tolerances = DEFAULT_TOLS
-    ) -> "State":
-        blocks, lo, hi = checked_state_stack(x.algebra, [blk[None] for blk in x.blocks], tols)
+    def from_element(x: AlgebraElement) -> "State":
+        blocks, lo, hi = checked_state_stack(x.algebra, [blk[None] for blk in x.blocks])
         lo, hi = float(lo[0]), float(hi[0])
-        tag = "invertible" if lo > tols.rank_tol * max(hi, 1.0) else "singular"
+        tag = "invertible" if lo > TOLS.rank_tol * max(hi, 1.0) else "singular"
         return State(
             element=AlgebraElement(x.algebra, [blk[0] for blk in blocks]),
             min_eigenvalue=lo,
@@ -349,7 +347,6 @@ def is_positive(
     algebra: TracialAlgebra,
     x: AlgebraElement,
     tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> PositivityCheck:
     """Semidefiniteness test with an eigenpair witness on failure.
 
@@ -357,8 +354,8 @@ def is_positive(
     passes when every block eigenvalue is at least ``-tol``.
     """
     if tol is None:
-        tol = tols.pos_tol
-    x = x.hermitize(tols)
+        tol = TOLS.pos_tol
+    x = x.hermitize()
     worst = np.inf
     bad_block = None
     vec = None
@@ -379,7 +376,6 @@ def support_projection(
     algebra: TracialAlgebra,
     x: AlgebraElement,
     rank_tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> AlgebraElement:
     """Projection onto the span of eigenvectors above the spectral cutoff.
 
@@ -387,8 +383,8 @@ def support_projection(
     blocks of x (which must be positive semidefinite).
     """
     if rank_tol is None:
-        rank_tol = tols.rank_tol
-    x = x.hermitize(tols)
+        rank_tol = TOLS.rank_tol
+    x = x.hermitize()
     decomps = [np.linalg.eigh(blk) for blk in x.blocks]
     lam_max = max(float(w[-1]) for w, _ in decomps)
     cut = rank_tol * max(lam_max, 0.0)
@@ -404,7 +400,6 @@ def random_state(
     kind: str,
     rng: np.random.Generator,
     rank: int | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> State:
     """Draw a state of a prescribed kind.
 
@@ -417,7 +412,7 @@ def random_state(
     """
     x = AlgebraElement(algebra, [blk[0] for blk in _random_stacks(algebra, [kind], rng, rank)])
     t = trace(algebra, x).real
-    return State.from_element(x * (1.0 / t), tols)
+    return State.from_element(x * (1.0 / t))
 
 
 def _random_stacks(
@@ -495,9 +490,7 @@ def trace_norm_stack(algebra: TracialAlgebra, stacks: Sequence[np.ndarray]) -> n
     )
 
 
-def hermitize_stack(
-    stacks: Sequence[np.ndarray], tols: Tolerances = DEFAULT_TOLS
-) -> list:
+def hermitize_stack(stacks: Sequence[np.ndarray]) -> list:
     """``AlgebraElement.hermitize`` on every element of a stack.
 
     The operator norm only scales a tolerance of at least ``herm_tol``, so
@@ -505,12 +498,12 @@ def hermitize_stack(
     """
     flip = [blk.conj().swapaxes(1, 2) for blk in stacks]
     asym = np.max([np.abs(b - f).max(axis=(1, 2)) for b, f in zip(stacks, flip)], axis=0)
-    suspect = asym > tols.herm_tol
+    suspect = asym > TOLS.herm_tol
     if suspect.any():
         scale = np.max(
             [np.linalg.norm(blk[suspect], 2, axis=(1, 2)) for blk in stacks], axis=0
         )
-        bad = asym[suspect] > tols.herm_tol * np.maximum(1.0, scale)
+        bad = asym[suspect] > TOLS.herm_tol * np.maximum(1.0, scale)
         if bad.any():
             raise RejectedInputError(
                 f"element is not Hermitian (asymmetry {asym[suspect][bad][0]:.3e}"
@@ -520,7 +513,7 @@ def hermitize_stack(
 
 
 def checked_state_stack(
-    algebra: TracialAlgebra, stacks: Sequence[np.ndarray], tols: Tolerances = DEFAULT_TOLS
+    algebra: TracialAlgebra, stacks: Sequence[np.ndarray]
 ) -> tuple[list, np.ndarray, np.ndarray]:
     """The checks of ``State.from_element`` on every element of a stack.
 
@@ -530,25 +523,22 @@ def checked_state_stack(
     the smallest and the largest eigenvalue of each element.
     ``State.from_element`` is this on a stack of one.
     """
-    stacks = hermitize_stack(stacks, tols)
+    stacks = hermitize_stack(stacks)
     t = trace_stack(algebra, stacks)
-    off = np.abs(t - 1.0) > tols.trace_tol
+    off = np.abs(t - 1.0) > TOLS.trace_tol
     if off.any():
         raise RejectedInputError(f"state trace is {t[off][0]}, expected 1")
     eigs = [np.linalg.eigvalsh(blk) for blk in stacks]
     lo = np.min([w[:, 0] for w in eigs], axis=0)
     hi = np.max([w[:, -1] for w in eigs], axis=0)
-    bad = lo < -tols.pos_tol * np.maximum(1.0, hi)
+    bad = lo < -TOLS.pos_tol * np.maximum(1.0, hi)
     if bad.any():
         raise RejectedInputError(f"state has negative eigenvalue {lo[bad][0]:.3e}")
     return stacks, lo, hi
 
 
 def random_state_stack(
-    algebra: TracialAlgebra,
-    kinds: Sequence[str],
-    rng: np.random.Generator,
-    tols: Tolerances = DEFAULT_TOLS,
+    algebra: TracialAlgebra, kinds: Sequence[str], rng: np.random.Generator
 ) -> list:
     """One ``random_state`` draw per entry of ``kinds``, as a stack.
 
@@ -559,7 +549,7 @@ def random_state_stack(
     stacks = _random_stacks(algebra, kinds, rng)
     # Python division, so that a zero trace raises as it does in random_state
     scale = np.array([1.0 / float(t) for t in trace_stack(algebra, stacks)])[:, None, None]
-    return hermitize_stack([blk * scale for blk in stacks], tols)
+    return hermitize_stack([blk * scale for blk in stacks])
 
 
 # ---------------------------------------------------------------------------

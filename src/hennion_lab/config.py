@@ -1,12 +1,12 @@
-"""Central tolerance record.
+"""The shared numerical cutoffs of the library.
 
-Every numerical cutoff used by the library lives in one frozen record that
-callers pass explicitly; there are no hidden module-level knobs.
+They live in one frozen record, ``TOLS``, that the library reads directly;
+nothing sets or overrides it at run time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class Tolerances:
     m_product_floor:
         Below this value the product of the two order coefficients is
         treated as exactly zero and the distance reported as exactly one.
-    cert_margin:
-        Extra relative back-off on the sandwich constants lam and mu of the
-        contraction certificate, on top of the fixed 64 machine epsilons
-        (lam shrinks, mu grows).
     """
 
     pos_tol: float = 1e-9
@@ -51,10 +47,6 @@ class Tolerances:
     kernel_tol: float = 1e-12
     state_eq_tol: float = 1e-8
     m_product_floor: float = 1e-15
-    cert_margin: float = 0.0
-
-    def with_overrides(self, **kwargs: float) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
-DEFAULT_TOLS = Tolerances()
+TOLS = Tolerances()

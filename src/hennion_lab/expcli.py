@@ -38,7 +38,6 @@ from .algebra import (
     random_state,
     trace,
 )
-from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     DegeneratePairError,
     HennionLabError,
@@ -159,25 +158,6 @@ _ESTIMATOR_SCHEMA = {
     "additionalProperties": False,
 }
 
-_TOLERANCES_SCHEMA = {
-    "type": "object",
-    "properties": {
-        name: {"type": "number"}
-        for name in (
-            "pos_tol",
-            "rank_tol",
-            "herm_tol",
-            "trace_tol",
-            "support_tol",
-            "kernel_tol",
-            "state_eq_tol",
-            "m_product_floor",
-            "cert_margin",
-        )
-    },
-    "additionalProperties": False,
-}
-
 PROCESS_CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
@@ -200,7 +180,6 @@ PROCESS_CONFIG_SCHEMA = {
         },
         "observable": _OBSERVABLE_SCHEMA,
         "estimator": _ESTIMATOR_SCHEMA,
-        "tolerances": _TOLERANCES_SCHEMA,
     },
     "required": ["master_seed", "algebra", "driver", "ensemble", "plan"],
     "additionalProperties": False,
@@ -237,7 +216,6 @@ FCS_CONFIG_SCHEMA = {
         },
         "observable_a": _OBSERVABLE_SCHEMA,
         "observable_b": _OBSERVABLE_SCHEMA,
-        "tolerances": _TOLERANCES_SCHEMA,
     },
     "required": ["master_seed", "algebra", "bond", "driver", "generator", "plan"],
     "additionalProperties": False,
@@ -365,12 +343,6 @@ def _build_estimator(spec: dict | None) -> EstimatorOptions:
     return EstimatorOptions(**{key: int(value) for key, value in (spec or {}).items()})
 
 
-def _build_tols(spec: dict | None) -> Tolerances:
-    if not spec:
-        return DEFAULT_TOLS
-    return DEFAULT_TOLS.with_overrides(**{k: float(v) for k, v in spec.items()})
-
-
 def load_map_file(path: str) -> SuperOperator:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -467,7 +439,7 @@ def _manifest(out_dir: str, config: dict, files: list, passes: dict, started: fl
 # ---------------------------------------------------------------------------
 
 
-def cmd_metric(file_x: str, file_y: str, tols: Tolerances = DEFAULT_TOLS) -> dict:
+def cmd_metric(file_x: str, file_y: str) -> dict:
     """Metric report for two state files on a common algebra."""
     ex, ey = load_element(file_x), load_element(file_y)
     if not ex.algebra.compatible(ey.algebra):
@@ -478,24 +450,24 @@ def cmd_metric(file_x: str, file_y: str, tols: Tolerances = DEFAULT_TOLS) -> dic
         t = trace(alg, e).real
         if t <= 0:
             raise MathDomainError("input has non-positive trace")
-        return State.from_element(e * (1.0 / t), tols)
+        return State.from_element(e * (1.0 / t))
 
     x, y = to_state(ex), to_state(ey)
-    mxy = m_quantity(x, y, tols)
-    myx = m_quantity(y, x, tols)
-    bxy = m_quantity_bisection(x, y, tols=tols)
-    byx = m_quantity_bisection(y, x, tols=tols)
-    d = hennion_distance(x, y, tols)
+    mxy = m_quantity(x, y)
+    myx = m_quantity(y, x)
+    bxy = m_quantity_bisection(x, y)
+    byx = m_quantity_bisection(y, x)
+    d = hennion_distance(x, y)
     report = {
         "m_xy": mxy.value,
         "m_yx": myx.value,
         "d": d,
-        "component_verdict": classify_component(x, y, tols),
+        "component_verdict": classify_component(x, y),
         "oracle_delta_m_xy": abs(mxy.value - bxy.value),
         "oracle_delta_m_yx": abs(myx.value - byx.value),
     }
     try:
-        ld = line_decomposition(x, y, tols=tols)
+        ld = line_decomposition(x, y)
         report.update(
             t_plus=ld.t_plus,
             t_minus=ld.t_minus,
@@ -513,7 +485,6 @@ def cmd_contraction(
     refine: int = 50,
     seed: int = 0,
     out_dir: str | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> dict:
     """Certified contraction interval of a map file."""
     s = load_map_file(map_file)
@@ -522,20 +493,19 @@ def cmd_contraction(
         n_samples=n_samples,
         refine_iters=refine,
         rng=np.random.default_rng(derive_seed(seed, "contraction")),
-        tols=tols,
     )
     report = {
         "lower": est.lower_bound,
         "upper": est.upper_bound,
-        "eta": est.eta,
-        "upper_method": est.upper_method,
+        "eta": est.cert.eta,
+        "upper_method": est.cert.method,
         "verdict": is_strict_contraction(s, est),
-        "fixed_point_converged": est.fixed_point_converged,
+        "fixed_point_converged": est.cert.fixed_point is not None,
     }
-    if out_dir and est.fixed_point is not None:
+    if out_dir and est.cert.fixed_point is not None:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "fixed_point.json")
-        _write_json(path, element_to_payload(est.fixed_point.element))
+        _write_json(path, element_to_payload(est.cert.fixed_point.element))
         report["fixed_point_path"] = path
     return report
 
@@ -545,7 +515,6 @@ def cmd_process(config: dict, out_dir: str) -> dict:
     _validate(config, "process")
     started = time.time()
     os.makedirs(out_dir, exist_ok=True)
-    tols = _build_tols(config.get("tolerances"))
     master = int(config["master_seed"])
     alg = make_algebra(config["algebra"]["dims"], config["algebra"]["weights"])
     ensemble = _build_ensemble(config["ensemble"], alg)
@@ -585,7 +554,6 @@ def cmd_process(config: dict, out_dir: str) -> dict:
             observable=observable,
             est_opts=est_opts,
             probe_seed=derive_seed(master, f"probes{stream}"),
-            tols=tols,
         )
         run_id = f"{cfg_hash[:12]}-s{stream}"
         rec = result.record
@@ -595,8 +563,8 @@ def cmd_process(config: dict, out_dir: str) -> dict:
         if rec.direction == "gamma_right":
             try:
                 rng = np.random.default_rng(derive_seed(master, f"limit{stream}"))
-                probes = [random_state(alg, "full", rng, tols=tols) for _ in range(2)]
-                limit, _ = limit_state_estimate(rec, probes, tols)
+                probes = [random_state(alg, "full", rng) for _ in range(2)]
+                limit, _ = limit_state_estimate(rec, probes)
                 limit_path = f"limit_state_s{stream}.json"
                 _write_json(
                     os.path.join(out_dir, limit_path),
@@ -607,7 +575,7 @@ def cmd_process(config: dict, out_dir: str) -> dict:
                 limit_state_skipped = True
         collapse = None
         if rec.direction == "gamma_right" and rec.kappa is not None:
-            report = rank_one_collapse_check(rec, observable, tols=tols)
+            report = rank_one_collapse_check(rec, observable)
             collapse = {
                 "E_k_final": report.e_running[-1] if report.e_running else None,
                 "stabilized": report.stabilized,
@@ -677,7 +645,6 @@ def cmd_fcs(config: dict, out_dir: str) -> dict:
     _validate(config, "fcs")
     started = time.time()
     os.makedirs(out_dir, exist_ok=True)
-    tols = _build_tols(config.get("tolerances"))
     master = int(config["master_seed"])
     site = make_algebra(config["algebra"]["dims"], config["algebra"]["weights"])
     bond = make_algebra(config["bond"]["dims"], config["bond"]["weights"])
@@ -699,7 +666,7 @@ def cmd_fcs(config: dict, out_dir: str) -> dict:
     cfg_hash = _config_hash(config)
     files = []
 
-    generator.validate(driver.point_at(0), n_probe=16, tols=tols)
+    generator.validate(driver.point_at(0), n_probe=16)
     report = clustering_experiment(
         generator,
         driver,
@@ -707,7 +674,6 @@ def cmd_fcs(config: dict, out_dir: str) -> dict:
         obs_b,
         gaps=[int(g) for g in plan["gaps"]],
         window=int(plan["window"]),
-        tols=tols,
     )
     _write_csv(
         os.path.join(out_dir, "decay.csv"),
@@ -725,7 +691,7 @@ def cmd_fcs(config: dict, out_dir: str) -> dict:
     cov_rows = []
     for k in plan.get("covariance_shifts", [1, 2, 3]):
         dev, budget = translation_covariance_check(
-            generator, driver, obs_a, int(k), int(plan["window"]), tols=tols
+            generator, driver, obs_a, int(k), int(plan["window"])
         )
         cov_rows.append((int(k), dev, budget, int(dev <= budget + 1e-12)))
     _write_csv(
@@ -746,7 +712,6 @@ def cmd_fcs(config: dict, out_dir: str) -> dict:
             omega_samples=int(plan.get("omega_samples", 2)),
             window=int(plan["window"]),
             est_seed=derive_seed(master, "birkhoff"),
-            tols=tols,
         )
         _write_dat(
             os.path.join(out_dir, "birkhoff.dat"),
@@ -828,7 +793,6 @@ def _parser() -> argparse.ArgumentParser:
     pp.add_argument("--config", required=True)
     pp.add_argument("--seed", type=int, default=None, help="override master_seed")
     pp.add_argument("--out", default=None, help="override output_dir")
-    pp.add_argument("--samples", type=int, default=None, help="override estimator samples")
 
     pf = sub.add_parser("fcs", help="chain-state clustering experiment")
     pf.add_argument("--config", required=True)
@@ -872,8 +836,6 @@ def main(argv=None) -> int:
             return 0
         if args.command == "process":
             config, out_dir = _load_config(args.config, args)
-            if args.samples is not None:
-                config.setdefault("estimator", {})["n_samples"] = int(args.samples)
             summary = cmd_process(config, out_dir)
             print(json.dumps(summary, sort_keys=True, indent=None if args.json else 1))
             return 0

@@ -28,7 +28,6 @@ from .algebra import (
     random_state,
     tensor_algebra,
 )
-from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     HypothesisViolationError,
     RejectedInputError,
@@ -209,7 +208,7 @@ class GeneratorMap:
         self._e_cache: dict = {}
         self._phi_cache: dict = {}
         # certified upper bounds of composed flanks, keyed on the flank's
-        # driver points (first site first) and the tolerances
+        # driver points (first site first)
         self._cert_cache: dict = {}
         self._c1_site = on_site.coefficients(on_site.identity())
 
@@ -261,7 +260,6 @@ class GeneratorMap:
         parameter,
         n_probe: int = 32,
         rng: np.random.Generator | None = None,
-        tols: Tolerances = DEFAULT_TOLS,
     ) -> None:
         """Unitality, positivity on sampled positive inputs, consistency."""
         if rng is None:
@@ -272,10 +270,10 @@ class GeneratorMap:
         pair = tensor_algebra(self.on_site, self.bond)
         emat = self.map_at(parameter)
         for _ in range(n_probe):
-            z = random_state(pair, "full", rng, tols=tols).element
+            z = random_state(pair, "full", rng).element
             cz = _site_coefficients([self.on_site, self.bond], z)
             out = self.bond.from_coefficients(emat @ cz)
-            if not is_positive(self.bond, out, tols=tols):
+            if not is_positive(self.bond, out):
                 raise HypothesisViolationError(
                     "generator failed a positivity probe"
                 )
@@ -390,7 +388,6 @@ def iterate_generator(
     driver: ErgodicDriver,
     interval: tuple[int, int],
     obs: LocalObservable,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> AlgebraElement:
     """Nested generator value of an observable over a window.
 
@@ -434,7 +431,6 @@ def _flank_evolution(
     driver: ErgodicDriver,
     start: int,
     stop_before: int,
-    tols: Tolerances,
 ) -> tuple[np.ndarray, float, int, int]:
     """Evolve the bond probe from ``start`` up to ``stop_before - 1``.
 
@@ -443,8 +439,7 @@ def _flank_evolution(
     flank, taken once at its full length), and the numbers of
     certificates computed and taken from the generator's cache (one of
     the two is 1).  A certificate depends only on the composed matrix,
-    which the driver points of the flank determine, and on the
-    tolerances.
+    which the driver points of the flank determine.
     """
     bond = generator.bond
     c1 = bond.coefficients(bond.identity())
@@ -457,14 +452,13 @@ def _flank_evolution(
         z = gamma_mat @ z
         z = z / np.dot(c1, z).real  # tracial up to roundoff
         flank = gamma_mat if flank is None else gamma_mat @ flank
-    key = (points, tols)
-    upper = generator._cert_cache.get(key)
+    upper = generator._cert_cache.get(points)
     if upper is not None:
         return z, upper, 0, 1
     comp = SuperOperator(bond, flank, MapFlags(positive="yes", faithful="yes"))
-    upper = min(1.0, certified_upper(comp, tols=tols).upper_bound)
+    upper = min(1.0, certified_upper(comp).upper_bound)
     if len(generator._cert_cache) < 512:
-        generator._cert_cache[key] = upper
+        generator._cert_cache[points] = upper
     return z, upper, 1, 0
 
 
@@ -475,7 +469,6 @@ def psi_of_parts(
     window: int,
     est_opts: EstimatorOptions | None = None,
     est_seed: int = 0,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> PsiEstimate:
     """Chain-state value of a product of observables with disjoint supports.
 
@@ -510,13 +503,11 @@ def psi_of_parts(
             w = generator.induced_phi(driver.point_at(site)).matrix @ w
         w = _core_eval(generator, driver, part, w)
         cursor = part.support[0] - 1
-    z, flank_upper, computed, reused = _flank_evolution(
-        generator, driver, -window, lo, tols
-    )
+    z, flank_upper, computed, reused = _flank_evolution(generator, driver, -window, lo)
     value = complex(np.dot(w, z))
     norm_prod = math.prod(p.norm_inf for p in parts)
     bound = 8.0 * norm_prod * flank_upper
-    z_state = State.from_element(bond.from_coefficients(z).hermitize(tols), tols)
+    z_state = State.from_element(bond.from_coefficients(z).hermitize())
     return PsiEstimate(
         value=value,
         window_N=window,
@@ -596,7 +587,6 @@ def clustering_experiment(
     pre_run_length: int | None = None,
     est_opts: EstimatorOptions | None = None,
     est_seed: int = 0,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> DecayReport:
     """Correlation decay of the generated state across a widening gap.
 
@@ -638,16 +628,16 @@ def clustering_experiment(
     if any(gap < 1 for gap in gaps):
         raise RejectedInputError("gaps must be >= 1")
     a_placed = obs_a.shifted(-obs_a.support[1])  # ends at site 0
-    value_a = psi_of_parts(generator, driver, [a_placed], window, tols=tols).value
+    value_a = psi_of_parts(generator, driver, [a_placed], window).value
 
     # the middles' certificates first: they build the bond maps of the
     # sites between, which the chain-state values below then reuse
-    mid_uppers = [_flank_evolution(generator, driver, 1, gap, tols)[1] for gap in gaps]
+    mid_uppers = [_flank_evolution(generator, driver, 1, gap)[1] for gap in gaps]
     rows = []
     for gap, mid_upper in zip(gaps, mid_uppers):
         b_placed = obs_b.shifted(gap - obs_b.support[0])  # starts at site gap
-        joint = psi_of_parts(generator, driver, [a_placed, b_placed], window, tols=tols).value
-        value_b = psi_of_parts(generator, driver, [b_placed], window, tols=tols).value
+        joint = psi_of_parts(generator, driver, [a_placed, b_placed], window).value
+        value_b = psi_of_parts(generator, driver, [b_placed], window).value
         corr = abs(joint - value_a * value_b)
         rhs = 8.0 * obs_a.norm_inf * obs_b.norm_inf * mid_upper
         rows.append(
@@ -728,7 +718,6 @@ def birkhoff_average(
     window: int = 30,
     est_opts: EstimatorOptions | None = None,
     est_seed: int = 0,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> BirkhoffReport:
     """Partial orbit averages of the chain-state value of an observable.
 
@@ -748,7 +737,7 @@ def birkhoff_average(
     for i, drv in enumerate(drivers):
         vals = {}
         for n in range(-n_max, n_max + 1):
-            est = psi_value(generator, drv.shift(n), obs, window, tols=tols)
+            est = psi_value(generator, drv.shift(n), obs, window)
             vals[n] = est.value
             budget = max(budget, est.truncation_bound)
         partials = np.array(
@@ -760,7 +749,7 @@ def birkhoff_average(
         partials_all.append(partials)
         limits.append(complex(partials[-1]))
         if i == 0:
-            shifted = psi_value(generator, drv.shift(1), obs, window, tols=tols)
+            shifted = psi_value(generator, drv.shift(1), obs, window)
             # one-site covariance: the shifted average equals the average of
             # the orbit values displaced by one index
             disp = np.mean([vals[n] for n in range(-n_max + 1, n_max + 1)] + [shifted.value])

@@ -26,7 +26,7 @@ from .algebra import (
     norm,
     trace,
 )
-from .config import DEFAULT_TOLS, Tolerances
+from .config import TOLS
 from .errors import DegeneratePairError, DegenerateSamplingError, RejectedInputError
 
 __all__ = [
@@ -77,7 +77,7 @@ def _pair_stacks(x, y) -> tuple[list, list]:
     return tuple([blk[None] for blk in e.blocks] for e in _check_pair(x, y))
 
 
-def _pencil_range(x_eigs, y, y_eigs, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _pencil_range(x_eigs, y, y_eigs) -> tuple[np.ndarray, np.ndarray]:
     """Extreme eigenvalues of the support-restricted pencils of pairs (x_k, y_k).
 
     ``x_eigs`` and ``y_eigs`` are ``eigh`` of two Hermitian stacks, one
@@ -92,7 +92,7 @@ def _pencil_range(x_eigs, y, y_eigs, tols: Tolerances) -> tuple[np.ndarray, np.n
     n_pairs = len(x_eigs[0][0])
     lo_x = np.min([w[:, 0] for w, _ in x_eigs], axis=0)
     lam_x = np.max([w[:, -1] for w, _ in x_eigs], axis=0)
-    cut_x = tols.rank_tol * np.maximum(lam_x, 0.0)
+    cut_x = TOLS.rank_tol * np.maximum(lam_x, 0.0)
     bottom, top = np.full(n_pairs, np.inf), np.full(n_pairs, -np.inf)
 
     def pencil_spectra(w, v, yb) -> np.ndarray:
@@ -105,7 +105,7 @@ def _pencil_range(x_eigs, y, y_eigs, tols: Tolerances) -> tuple[np.ndarray, np.n
             spec = pencil_spectra(w, v, yb)
             bottom, top = np.minimum(bottom, spec[:, 0]), np.maximum(top, spec[:, -1])
         return bottom, top
-    cut_y = tols.rank_tol * np.maximum(np.max([w[:, -1] for w, _ in y_eigs], axis=0), 0.0)
+    cut_y = TOLS.rank_tol * np.maximum(np.max([w[:, -1] for w, _ in y_eigs], axis=0), 0.0)
     for (w, v), yb, (wy, vy) in zip(x_eigs, y, y_eigs):
         n = w.shape[1]
         rank = (w > cut_x[:, None]).sum(axis=1)  # eigh sorts, so x's support is the top `rank`
@@ -117,12 +117,12 @@ def _pencil_range(x_eigs, y, y_eigs, tols: Tolerances) -> tuple[np.ndarray, np.n
                 # support containment: ||(1 - p_x) p_y||_inf
                 y_keep = vy[k] * (wy[k] > cut_y[k, None])[:, None, :]
                 resid = y_keep - vk @ (vk.conj().swapaxes(1, 2) @ y_keep)
-                top[k[np.linalg.norm(resid, 2, axis=(1, 2)) > tols.support_tol]] = np.inf
+                top[k[np.linalg.norm(resid, 2, axis=(1, 2)) > TOLS.support_tol]] = np.inf
             if r > 0:
                 spec = pencil_spectra(w[k][:, n - r :], vk, yb[k])
                 bottom[k] = np.minimum(bottom[k], spec[:, 0])
                 top[k] = np.maximum(top[k], spec[:, -1])
-    top[lo_x < -tols.pos_tol * np.maximum(1.0, np.maximum(lam_x, -lo_x))] = np.inf
+    top[lo_x < -TOLS.pos_tol * np.maximum(1.0, np.maximum(lam_x, -lo_x))] = np.inf
     return bottom, top
 
 
@@ -133,7 +133,7 @@ def _order_coefficients(top: np.ndarray) -> np.ndarray:
     return 1.0 / top
 
 
-def m_quantity(x, y, tols: Tolerances = DEFAULT_TOLS) -> MQuantityResult:
+def m_quantity(x, y) -> MQuantityResult:
     """Order coefficient via the support-restricted eigenpencil.
 
     When x has an eigenvalue below ``-pos_tol * max(1, ||x||_inf)``, the
@@ -146,9 +146,9 @@ def m_quantity(x, y, tols: Tolerances = DEFAULT_TOLS) -> MQuantityResult:
     block.  This is ``_pencil_range``, the kernel of every order
     coefficient in the package, on a stack of one.
     """
-    xs, ys = (hermitize_stack(u, tols) for u in _pair_stacks(x, y))
+    xs, ys = (hermitize_stack(u) for u in _pair_stacks(x, y))
     x_eigs, y_eigs = ([np.linalg.eigh(blk) for blk in u] for u in (xs, ys))
-    value = float(_order_coefficients(_pencil_range(x_eigs, ys, y_eigs, tols)[1])[0])
+    value = float(_order_coefficients(_pencil_range(x_eigs, ys, y_eigs)[1])[0])
     return MQuantityResult(value, "eigen_pencil", value - 1e-12)
 
 
@@ -156,9 +156,7 @@ def _min_eig(x: AlgebraElement) -> float:
     return min(float(np.linalg.eigvalsh(blk)[0]) for blk in x.blocks)
 
 
-def m_quantity_bisection(
-    x, y, tol: float = 1e-10, tols: Tolerances = DEFAULT_TOLS
-) -> MQuantityResult:
+def m_quantity_bisection(x, y, tol: float = 1e-10) -> MQuantityResult:
     """Order coefficient by bisection on semidefiniteness of x - lam*y.
 
     The bracket starts at [0, tau(x)/tau(y)], which is the tightest a-priori
@@ -168,7 +166,7 @@ def m_quantity_bisection(
     """
     xe, ye = _check_pair(x, y)
     alg = xe.algebra
-    xh, yh = xe.hermitize(tols), ye.hermitize(tols)
+    xh, yh = xe.hermitize(), ye.hermitize()
     scale = max(norm(alg, xh, "inf"), norm(alg, yh, "inf"), 1e-300)
     feas_eps = 64.0 * np.finfo(float).eps * scale
 
@@ -193,11 +191,7 @@ def m_quantity_bisection(
 
 
 def m_quantity_inf_sampling(
-    x,
-    y,
-    n_samples: int,
-    rng: np.random.Generator,
-    tols: Tolerances = DEFAULT_TOLS,
+    x, y, n_samples: int, rng: np.random.Generator
 ) -> MQuantityResult:
     """Upper estimate of the order coefficient by sampled positive pairings.
 
@@ -238,37 +232,33 @@ def m_quantity_inf_sampling(
     return MQuantityResult(float(best), "inf_sampling", float(best) - 1e-12)
 
 
-def _m_products(a: list, b: list, tols: Tolerances) -> np.ndarray:
+def _m_products(a: list, b: list) -> np.ndarray:
     """``m(a_k, b_k) * m(b_k, a_k)`` of two stacks, one ``eigh`` per side."""
-    a, b = hermitize_stack(a, tols), hermitize_stack(b, tols)
+    a, b = hermitize_stack(a), hermitize_stack(b)
     ea, eb = ([np.linalg.eigh(blk) for blk in u] for u in (a, b))
-    top_ab, top_ba = (_pencil_range(*args, tols)[1] for args in ((ea, b, eb), (eb, a, ea)))
+    top_ab, top_ba = (_pencil_range(*args)[1] for args in ((ea, b, eb), (eb, a, ea)))
     return _order_coefficients(top_ab) * _order_coefficients(top_ba)
 
 
-def hennion_distance(x, y, tols: Tolerances = DEFAULT_TOLS) -> float:
+def hennion_distance(x, y) -> float:
     """Projective distance between two states, in [0, 1].
 
     Products of order coefficients below the floor are treated as exactly
     zero so the distance is reported as exactly one.  This is
     ``hennion_distance_many`` on a stack of one.
     """
-    return float(hennion_distance_many(*_pair_stacks(x, y), tols)[0])
+    return float(hennion_distance_many(*_pair_stacks(x, y))[0])
 
 
-def hennion_distance_many(
-    a: Sequence[np.ndarray],
-    b: Sequence[np.ndarray],
-    tols: Tolerances = DEFAULT_TOLS,
-) -> np.ndarray:
+def hennion_distance_many(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> np.ndarray:
     """``hennion_distance`` of every pair (a[k], b[k]) of two state stacks.
 
     ``a`` and ``b`` hold one (N, n, n) array per block.  Both order
     coefficients of every pair come from the kernel of ``m_quantity``,
     whose support test runs only on elements singular in a block.
     """
-    q = _m_products(a, b, tols)
-    return np.where(q < tols.m_product_floor, 1.0, np.maximum(0.0, (1.0 - q) / (1.0 + q)))
+    q = _m_products(a, b)
+    return np.where(q < TOLS.m_product_floor, 1.0, np.maximum(0.0, (1.0 - q) / (1.0 + q)))
 
 
 @dataclass(frozen=True)
@@ -294,9 +284,7 @@ class LineDecomposition:
         return (tp - tm) / (tm + tp - 2.0 * tm * tp)
 
 
-def line_decomposition(
-    x: State, y: State, tol: float = 1e-11, tols: Tolerances = DEFAULT_TOLS
-) -> LineDecomposition:
+def line_decomposition(x: State, y: State, tol: float = 1e-11) -> LineDecomposition:
     """Locate the endpoints of {t*x + (1-t)*y} inside the state space.
 
     Both endpoint parameters are found by bisection on semidefiniteness;
@@ -306,7 +294,7 @@ def line_decomposition(
     alg = x.algebra
     xe, ye = x.element, y.element
     gap = norm(alg, xe - ye, "one")
-    if gap <= tols.state_eq_tol:
+    if gap <= TOLS.state_eq_tol:
         raise DegeneratePairError("states coincide within tolerance")
     diff = xe - ye
     scale = max(norm(alg, xe, "inf"), norm(alg, ye, "inf"))
@@ -338,14 +326,14 @@ def line_decomposition(
     )
 
     def mix(t: float) -> State:
-        z = (ye + t * diff).hermitize(tols)
+        z = (ye + t * diff).hermitize()
         # clip the bisection residual so the endpoint is a valid state
         blocks = []
         for blk in z.blocks:
             w, v = np.linalg.eigh(blk)
             blocks.append((v * np.maximum(w, 0.0)) @ v.conj().T)
         z = AlgebraElement(alg, blocks)
-        return State.from_element(z * (1.0 / trace(alg, z).real), tols)
+        return State.from_element(z * (1.0 / trace(alg, z).real))
 
     a_plus = mix(t_plus)
     a_minus = mix(t_minus)
@@ -362,9 +350,7 @@ def line_decomposition(
     )
 
 
-def classify_component(
-    x: State, y: State, tols: Tolerances = DEFAULT_TOLS
-) -> str:
+def classify_component(x: State, y: State) -> str:
     """Decide whether two states share a metric component.
 
     Returns ``distance_one`` when exactly one of the states is invertible
@@ -375,5 +361,5 @@ def classify_component(
         return "distance_one"
     if x.is_invertible and y.is_invertible:
         return "same_component"
-    q = _m_products(*_pair_stacks(x, y), tols)[0]
-    return "distance_one" if q < tols.m_product_floor else "same_component"
+    q = _m_products(*_pair_stacks(x, y))[0]
+    return "distance_one" if q < TOLS.m_product_floor else "same_component"

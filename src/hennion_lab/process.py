@@ -26,7 +26,7 @@ from .algebra import (
     random_state,
     trace,
 )
-from .config import DEFAULT_TOLS, Tolerances
+from .config import TOLS
 from .errors import (
     HennionLabError,
     HypothesisViolationError,
@@ -397,16 +397,14 @@ class ProcessRecord:
         return self.c_trace[-1].lower if self.c_trace else 0.0
 
 
-def _estimate_entry(record: ProcessRecord, tols: Tolerances) -> CTraceEntry:
+def _estimate_entry(record: ProcessRecord) -> CTraceEntry:
     rng = np.random.default_rng(
         derive_seed(record.est_rng_seed, f"estimate:{record.length}")
     )
-    est = contraction_estimate(
-        record.composed, rng=rng, tols=tols, **record.est_opts.call_kwargs()
-    )
+    est = contraction_estimate(record.composed, rng=rng, **record.est_opts.call_kwargs())
     if est.convergence_error:
         record.convergence_errors += 1
-    upper, method = est.upper_bound, est.upper_method
+    upper, method = est.upper_bound, est.cert.method
     if record.c_trace and record.latest_upper() < upper:  # monotone under composition
         upper, method = record.latest_upper(), "carried"
     return CTraceEntry(record.length, est.lower_bound, upper, True, method)
@@ -419,10 +417,10 @@ def _update_nu(record: ProcessRecord, entry: CTraceEntry) -> None:
         record.nu_optimistic = entry.length - 1
 
 
-def _track_sup_condition(record: ProcessRecord, tols: Tolerances) -> None:
+def _track_sup_condition(record: ProcessRecord) -> None:
     # log sup_n ||Gamma*(Gamma(1)^-1)||_inf per run, counting the lengths it skips
     alg = record.composed.algebra
-    g1 = record.composed.apply(alg.identity()).hermitize(tols)
+    g1 = record.composed.apply(alg.identity()).hermitize()
     try:
         eigs = [np.linalg.eigh(blk) for blk in g1.blocks]
         if min(w[0] for w, _ in eigs) > 0:
@@ -442,7 +440,6 @@ def start_process(
     start_index: int,
     est_opts: EstimatorOptions | None = None,
     est_rng_seed: int = 0,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> ProcessRecord:
     """A length-one process at ``start_index``."""
     if direction not in ("gamma_right", "phi_left"):
@@ -459,14 +456,14 @@ def start_process(
         est_rng_seed=est_rng_seed,
     )
     record.prefixes.append(ch.matrix)
-    entry = _estimate_entry(record, tols)
+    entry = _estimate_entry(record)
     record.c_trace.append(entry)
     _update_nu(record, entry)
-    _track_sup_condition(record, tols)
+    _track_sup_condition(record)
     return record
 
 
-def extend_process(record: ProcessRecord, tols: Tolerances = DEFAULT_TOLS) -> ProcessRecord:
+def extend_process(record: ProcessRecord) -> ProcessRecord:
     """Compose one more channel at the next driver index, in place.
 
     For ``gamma_right`` the next channel sits at ``m_anchor - 1`` and is
@@ -501,13 +498,13 @@ def extend_process(record: ProcessRecord, tols: Tolerances = DEFAULT_TOLS) -> Pr
     if record.latest_upper() < RESOLUTION_FLOOR:
         entry = CTraceEntry(record.length, 0.0, record.latest_upper(), False, "carried")
     else:
-        entry = _estimate_entry(record, tols)
+        entry = _estimate_entry(record)
     # composition never grows the constant: recorded bounds stay monotone
     # (clipping a valid lower bound by an earlier one keeps it valid)
     entry.lower = min(entry.lower, record.latest_lower())
     record.c_trace.append(entry)
     _update_nu(record, entry)
-    _track_sup_condition(record, tols)
+    _track_sup_condition(record)
     return record
 
 
@@ -568,7 +565,6 @@ def stopping_time_nu(record: ProcessRecord) -> float:
 def limit_state_estimate(
     record: ProcessRecord,
     probe_states: Sequence[State],
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> tuple[State, float]:
     """Projective image of the first probe, plus the probe spread.
 
@@ -580,7 +576,7 @@ def limit_state_estimate(
         raise RejectedInputError("need at least two probe states")
     if record.direction != "gamma_right":
         raise RejectedInputError("limit-state estimates apply to gamma_right records")
-    images = [projective_action(record.composed, p, tols) for p in probe_states]
+    images = [projective_action(record.composed, p) for p in probe_states]
     alg = record.composed.algebra
     spread = 0.0
     for i in range(len(images)):
@@ -592,29 +588,20 @@ def limit_state_estimate(
     return images[0], spread
 
 
-def equivariance_residual(
-    record: ProcessRecord,
-    probe_a: State,
-    probe_b: State,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> float:
+def equivariance_residual(record: ProcessRecord, probe_a: State, probe_b: State) -> float:
     """||gamma_next . X_n - X_{n+1}||_1 with independently probed estimates."""
     if record.direction != "gamma_right":
         raise RejectedInputError("equivariance applies to gamma_right records")
     alg = record.composed.algebra
     nxt = record.ensemble.channel_at(record.driver.point_at(record.n_anchor + 1))
-    x_n = projective_action(record.composed, probe_a, tols)
-    lhs = projective_action(nxt, x_n, tols)
+    x_n = projective_action(record.composed, probe_a)
+    lhs = projective_action(nxt, x_n)
     extended = compose(nxt, record.composed)
-    x_n1 = projective_action(extended, probe_b, tols)
+    x_n1 = projective_action(extended, probe_b)
     return norm(alg, lhs.element - x_n1.element, "one")
 
 
-def dual_normalized_value(
-    record: ProcessRecord,
-    a: AlgebraElement,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> tuple[float, float]:
+def dual_normalized_value(record: ProcessRecord, a: AlgebraElement) -> tuple[float, float]:
     """Scalar collapse of the normalized composition applied to an observable.
 
     Computes ``Z = P(1)^{-1/2} P(a) P(1)^{-1/2}``, where P is the composed
@@ -628,7 +615,7 @@ def dual_normalized_value(
     composed = record.composed
     alg = composed.algebra
     p = composed.apply if record.direction == "phi_left" else composed.apply_dual
-    p1 = p(alg.identity()).hermitize(tols)
+    p1 = p(alg.identity()).hermitize()
     inv_half_blocks = []
     for blk in p1.blocks:
         w, v = np.linalg.eigh(blk)
@@ -659,7 +646,6 @@ def rank_one_collapse_check(
     record: ProcessRecord,
     a: AlgebraElement,
     kappa: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> CollapseBoundReport:
     """Track the rank-one collapse prefactor along the record's prefixes.
 
@@ -691,10 +677,10 @@ def rank_one_collapse_check(
     for length, matrix in enumerate(record.prefixes, start=1):
         current = SuperOperator(alg, matrix)
         t_one = trace(alg, current.apply(one)).real
-        if t_one <= tols.kernel_tol:
+        if t_one <= TOLS.kernel_tol:
             break
-        x_est = projective_action(current, probe, tols)
-        b_img = current.apply_dual(one).hermitize(tols)
+        x_est = projective_action(current, probe)
+        b_img = current.apply_dual(one).hermitize()
         b_est = b_img * (1.0 / trace(alg, b_img).real)
         lhs = norm(
             alg,
@@ -751,7 +737,6 @@ def run_experiment(
     observable: AlgebraElement | None = None,
     est_opts: EstimatorOptions | None = None,
     probe_seed: int = 0,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> ExperimentRows:
     """Run one stream of the composition over the planned interval.
 
@@ -765,15 +750,13 @@ def run_experiment(
     opts = est_opts or EstimatorOptions()
     rng = np.random.default_rng(derive_seed(probe_seed, "probes"))
     probes = [
-        random_state(alg, kind, rng, tols=tols)
+        random_state(alg, kind, rng)
         for kind, _ in zip(
             ["full", "pure", "boundary", "full", "pure"], range(plan.probes)
         )
     ]
     start = plan.n_end if plan.direction == "gamma_right" else plan.m_start
-    record = start_process(
-        driver, ensemble, plan.direction, start, opts, probe_seed, tols
-    )
+    record = start_process(driver, ensemble, plan.direction, start, opts, probe_seed)
     rows = []
 
     def push_row():
@@ -781,11 +764,11 @@ def run_experiment(
         spread = float("nan")
         if plan.direction == "gamma_right":
             try:
-                _, spread = limit_state_estimate(record, probes, tols)
+                _, spread = limit_state_estimate(record, probes)
             except HennionLabError:
                 pass
         try:
-            _, resid = dual_normalized_value(record, observable, tols)
+            _, resid = dual_normalized_value(record, observable)
         except InvertibilityViolationError:
             resid = float("nan")
         rows.append(
@@ -803,7 +786,7 @@ def run_experiment(
     push_row()
     total = plan.n_end - plan.m_start
     for _ in range(total):
-        extend_process(record, tols=tols)
+        extend_process(record)
         push_row()
     try:
         estimate_rate_C(record)

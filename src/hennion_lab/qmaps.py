@@ -13,7 +13,7 @@ co-Choi matrices, so the upper bound is computed, not searched for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .algebra import (
     trace,
     trace_stack,
 )
-from .config import DEFAULT_TOLS, Tolerances
+from .config import TOLS
 from .errors import (
     HypothesisViolationError,
     KernelStateError,
@@ -189,7 +189,6 @@ def validate_flags(
     s: SuperOperator,
     n_probe: int = 0,
     rng: np.random.Generator | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> SuperOperator:
     """The map ``s`` with its unverified flags decided by direct numerical checks.
 
@@ -227,7 +226,7 @@ def validate_flags(
             ok = True
             for _ in range(n_probe):
                 p = random_state(alg, "full" if rng.integers(2) else "pure", rng)
-                if not is_positive(alg, s.apply(p.element), tols=tols):
+                if not is_positive(alg, s.apply(p.element)):
                     ok = False
                     break
             found["positive"] = YES if ok else NO
@@ -291,7 +290,6 @@ def from_kraus(algebra: TracialAlgebra, kraus_ops: Sequence[AlgebraElement]) -> 
 def from_strongly_summable(
     algebra: TracialAlgebra,
     pairs: Sequence[tuple[AlgebraElement, AlgebraElement]],
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> SuperOperator:
     """x -> sum_i tau(x a_i) m_i for positive pairs (a_i, m_i).
 
@@ -305,13 +303,13 @@ def from_strongly_summable(
     for a, m in pairs:
         algebra._check_member(a)
         algebra._check_member(m)
-        if not is_positive(algebra, a, tols=tols) or not is_positive(algebra, m, tols=tols):
+        if not is_positive(algebra, a) or not is_positive(algebra, m):
             raise RejectedInputError("strongly summable pairs must be positive")
         mat += np.outer(algebra.coefficients(m), algebra.coefficients(a))
         a_sum = a_sum + a
-    lam_min = min(float(np.linalg.eigvalsh(blk)[0]) for blk in a_sum.hermitize(tols).blocks)
-    lam_max = max(float(np.linalg.eigvalsh(blk)[-1]) for blk in a_sum.hermitize(tols).blocks)
-    faithful = YES if lam_min > tols.rank_tol * max(lam_max, 1.0) else NO
+    lam_min = min(float(np.linalg.eigvalsh(blk)[0]) for blk in a_sum.hermitize().blocks)
+    lam_max = max(float(np.linalg.eigvalsh(blk)[-1]) for blk in a_sum.hermitize().blocks)
+    faithful = YES if lam_min > TOLS.rank_tol * max(lam_max, 1.0) else NO
     s = SuperOperator(
         algebra,
         mat,
@@ -416,7 +414,7 @@ def mixed_unitary_channel(
 # ---------------------------------------------------------------------------
 
 
-def predual(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> SuperOperator:
+def predual(s: SuperOperator) -> SuperOperator:
     """Adjoint for the weighted trace pairing tau(predual(s)(x) a) = tau(x s(a)).
 
     In the Hermitian coefficient basis the pairing is the plain bilinear
@@ -438,25 +436,21 @@ def predual(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> SuperOperator:
         tracial=f.unital,
     )
     out = SuperOperator(s.algebra, s.matrix.T, flags, {"kind": "predual", "of": s.provenance})
-    faithful = faithfulness_check(out, tols)
+    faithful = faithfulness_check(out)
     return SuperOperator(s.algebra, out.matrix, replace(flags, faithful=faithful), out.provenance)
 
 
-def projective_action(
-    s: SuperOperator, x: State, tols: Tolerances = DEFAULT_TOLS
-) -> State:
+def projective_action(s: SuperOperator, x: State) -> State:
     """Normalized image s(x)/tau(s(x)); kernel states are rejected.
 
     ``projective_action_many`` on a stack of one.
     """
     s.algebra._check_member(x.element)
-    images = _normalized_images(s, [blk[None] for blk in x.blocks], tols)
-    return State.from_element(AlgebraElement(s.algebra, [blk[0] for blk in images]), tols)
+    images = _normalized_images(s, [blk[None] for blk in x.blocks])
+    return State.from_element(AlgebraElement(s.algebra, [blk[0] for blk in images]))
 
 
-def projective_action_many(
-    s: SuperOperator, stacks: Sequence[np.ndarray], tols: Tolerances = DEFAULT_TOLS
-) -> list[np.ndarray]:
+def projective_action_many(s: SuperOperator, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
     """``projective_action`` on a stack of N states, one (N, n, n) array per block.
 
     The coefficients of all N inputs come from one ``einsum`` per block and
@@ -466,12 +460,10 @@ def projective_action_many(
     and the result passes ``checked_state_stack``, whose failures raise
     ``RejectedInputError``.  Returns the images as a stack.
     """
-    return checked_state_stack(s.algebra, _normalized_images(s, stacks, tols), tols)[0]
+    return checked_state_stack(s.algebra, _normalized_images(s, stacks))[0]
 
 
-def _normalized_images(
-    s: SuperOperator, stacks: Sequence[np.ndarray], tols: Tolerances
-) -> list[np.ndarray]:
+def _normalized_images(s: SuperOperator, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
     """The images of ``projective_action_many`` before the state checks."""
     alg = s.algebra
     off = alg._basis_offsets
@@ -488,11 +480,11 @@ def _normalized_images(
         for i, basis in enumerate(alg._basis)
     ]
     t = trace_stack(alg, blocks)
-    if np.any(t <= tols.kernel_tol):
+    if np.any(t <= TOLS.kernel_tol):
         raise KernelStateError(
             f"image trace {t.min():.3e} at or below the kernel tolerance"
         )
-    blocks = hermitize_stack([blk * (1.0 / t)[:, None, None] for blk in blocks], tols)
+    blocks = hermitize_stack([blk * (1.0 / t)[:, None, None] for blk in blocks])
     # clip roundoff negatives accumulated along long compositions
     for blk in blocks:
         w, v = np.linalg.eigh(blk)
@@ -538,7 +530,7 @@ def compose(s1: SuperOperator, s2: SuperOperator) -> SuperOperator:
     )
 
 
-def faithfulness_check(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> str:
+def faithfulness_check(s: SuperOperator) -> str:
     """The faithful flag of ``s`` when decided, else the computed verdict.
 
     A positive map on the trace-norm side is faithful exactly when its dual
@@ -550,7 +542,7 @@ def faithfulness_check(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> str
     if s.flags.faithful in (YES, NO):
         return s.flags.faithful
     alg = s.algebra
-    d1 = s.apply_dual(alg.identity()).hermitize(tols)
+    d1 = s.apply_dual(alg.identity()).hermitize()
     lam = [np.linalg.eigvalsh(blk) for blk in d1.blocks]
     lo = min(float(w[0]) for w in lam)
     hi = max(float(w[-1]) for w in lam)
@@ -586,28 +578,25 @@ class ContractionEstimate:
     the sandwich ``lam*T <= s <= mu*T`` around ``T(x) = tau(s*(1) x) x0`` at
     the Perron state x0 (``perron_state``): every image state lies in
     ``[lam*x0, mu*x0]``, so the constant is at most ``(1 - r^2)/(1 + r^2)``
-    with ``r = lam/mu``, clamped into [lower_bound, 1].  ``sandwich`` holds
-    (lam, mu) when x0 is a state, ``eta = min(lam, 1/mu)`` is the symmetric
-    constant of ``eta x0 <= s.x <= eta^-1 x0``, and ``upper_method`` names
-    the matrices that proved the two sides: ``choi``, ``co_choi``, ``mixed``
-    (one each) or ``none`` (no certificate, upper bound 1).
-    ``fixed_point_converged`` means x0 is a state, ``convergence_error``
-    that the certificate ran and it was not, and ``fixed_point_iterations``
-    is always 0: x0 comes from one eigenvector, not an iteration.
+    with ``r = lam/mu``, clamped into [lower_bound, 1].  ``cert`` is that
+    certificate (x0, the sandwich, eta and the method that proved it), or
+    the no-certificate ``UpperCertificate()`` when the lower bound already
+    reaches 1.
     """
 
     lower_bound: float
     upper_bound: float
-    fixed_point: State | None
-    eta: float
-    n_samples: int
-    refine_iters: int
-    fixed_point_converged: bool = False
-    fixed_point_iterations: int = 0
-    convergence_error: bool = False
-    best_pair: tuple | None = field(default=None, repr=False)
-    sandwich: tuple[float, float] | None = None
-    upper_method: str = "none"
+    cert: UpperCertificate
+
+    @property
+    def convergence_error(self) -> bool:
+        """The certificate ran and the Perron vector was not a state."""
+        return self.cert.fixed_point is None and self.lower_bound < 1.0 - 1e-9
+
+    @property
+    def fixed_point_iterations(self) -> int:
+        """Always 0: x0 comes from one eigenvector, not an iteration."""
+        return 0
 
 
 def _axis_pure_vectors(algebra: TracialAlgebra) -> list[tuple[int, np.ndarray]]:
@@ -706,9 +695,7 @@ def _polish(objective, z0: np.ndarray) -> tuple[np.ndarray, float]:
     return res.x, -res.fun
 
 
-def _choi_sandwich(
-    s: SuperOperator, x0: State, tols: Tolerances
-) -> tuple[float, float, str]:
+def _choi_sandwich(s: SuperOperator, x0: State) -> tuple[float, float, str]:
     """Sandwich constants ``lam*T <= s <= mu*T`` for ``T(x) = tau(s*(1) x) x0``.
 
     ``s - lam*T`` and ``mu*T - s`` are proven (co-)completely positive, so
@@ -736,24 +723,24 @@ def _choi_sandwich(
             d = ci * np.stack([di.T, di])  # C(T), co-C(T) = d (x) x0_j, without np.kron's overhead
             t2 = (d[:, :, None, :, None] * xj[None, None, :, None, :]).reshape(2, ni * nj, ni * nj)
             stacks.append(np.concatenate([np.stack([c, co]), t2]))
-    choi = hermitize_stack(stacks, tols)
+    choi = hermitize_stack(stacks)
     eigs = [np.linalg.eigh(c) for c in choi]
     lo = np.min([w[:, 0] for w, _ in eigs], 0)  # per kind, over block pairs
     hi = np.max([w[:, -1] for w, _ in eigs], 0)
     cs, ct = [c[:2] for c in choi], [c[2:] for c in choi]
     eig_s = [(w[:2], v[:2]) for w, v in eigs]
     eig_t = [(w[2:], v[2:]) for w, v in eigs]
-    p_lo, p_hi = _pencil_range(eig_t, cs, eig_s, tols)  # of C(s) against C(T), per kind
+    p_lo, p_hi = _pencil_range(eig_t, cs, eig_s)  # of C(s) against C(T), per kind
     sides = []  # (method, backed-off lam, mu) of each kind that proves something
-    if lo[2:].min() > tols.rank_tol * hi[2:].max():  # C(T) is positive, and invertible
+    if lo[2:].min() > TOLS.rank_tol * hi[2:].max():  # C(T) is positive, and invertible
         for k in range(2):
             side_lam = 0.0  # as the order coefficient of a singular C(s)
-            if lo[k] > tols.rank_tol * hi[k]:
+            if lo[k] > TOLS.rank_tol * hi[k]:
                 cond = max(hi[k] / lo[k], hi[2:].max() / lo[2:].min())
                 side_lam = p_lo[k] * (1.0 - max(64.0, 8.0 * cond) * eps)
             sides.append((("choi", "co_choi")[k], float(side_lam), float(p_hi[k])))
     else:
-        m_st = 1.0 / _pencil_range(eig_s, ct, eig_t, tols)[1]  # m(C(s), C(T))
+        m_st = 1.0 / _pencil_range(eig_s, ct, eig_t)[1]  # m(C(s), C(T))
         m_ts = 1.0 / p_hi  # m(C(T), C(s))
         for k, method in enumerate(("choi", "co_choi")):
             if lo[k] >= -64.0 * eps * max(hi[k], -lo[k]):  # C(s) is positive
@@ -765,8 +752,7 @@ def _choi_sandwich(
             lam, lam_by = side_lam, method
         if side_mu < mu * (1.0 - 64.0 * eps):
             mu, mu_by = side_mu, method
-    shrink = (1.0 - 64.0 * eps) * (1.0 - tols.cert_margin)
-    lam, mu = max(lam * (1.0 - tols.cert_margin), 0.0), mu / shrink  # lam: eps per side
+    mu /= 1.0 - 64.0 * eps  # lam is backed off per side
     if lam <= 0.0 or not np.isfinite(mu):
         return lam, mu, "none"
     return lam, mu, lam_by if lam_by == mu_by else "mixed"
@@ -792,7 +778,7 @@ class UpperCertificate:
     upper_bound: float = 1.0
 
 
-def perron_state(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> State | None:
+def perron_state(s: SuperOperator) -> State | None:
     """The Perron state: the fixed point of the projective action, from one eigenvector.
 
     A positive map has its spectral radius as an eigenvalue with a positive
@@ -807,16 +793,16 @@ def perron_state(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> State | N
     w, v = np.linalg.eig(s.matrix)
     vec = v[:, int(np.argmax(w.real))]  # unit norm
     t = np.dot(alg.coefficients(alg.identity()), vec)
-    if abs(t) <= tols.kernel_tol:
+    if abs(t) <= TOLS.kernel_tol:
         return None
     vec = (vec / t).real
     try:
-        return projective_action(s, State.from_element(alg.from_coefficients(vec), tols), tols)
+        return projective_action(s, State.from_element(alg.from_coefficients(vec)))
     except (RejectedInputError, KernelStateError):
         return None
 
 
-def certified_upper(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> UpperCertificate:
+def certified_upper(s: SuperOperator) -> UpperCertificate:
     """Upper bound on the projective Lipschitz constant of a faithful positive map.
 
     The reference state x0 is the Perron state of ``perron_state``, and
@@ -830,10 +816,10 @@ def certified_upper(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> UpperC
     any x0, so no convergence is needed; no search is involved, no random
     number is drawn, and the bound holds for every state.
     """
-    x = perron_state(s, tols)
+    x = perron_state(s)
     if x is None:
         return UpperCertificate()
-    lam, mu, method = _choi_sandwich(s, x, tols)
+    lam, mu, method = _choi_sandwich(s, x)
     upper = 1.0
     if method != "none":
         r2 = (lam / mu) ** 2
@@ -847,7 +833,6 @@ def contraction_estimate(
     refine_iters: int = 50,
     rng: np.random.Generator | None = None,
     polish: bool = False,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> ContractionEstimate:
     """Bracket the projective Lipschitz constant of a faithful positive map.
 
@@ -870,7 +855,7 @@ def contraction_estimate(
     Upper bound: ``certified_upper``, run when the lower bound is at most
     ``1 - 1e-9``, and clamped into ``[lower_bound, 1]``.
     """
-    if faithfulness_check(s, tols) != YES:
+    if faithfulness_check(s) != YES:
         raise HypothesisViolationError(
             "map is not faithful: the dual image of the identity is singular"
             " and the product-span rank test fails, so the projective action"
@@ -881,49 +866,44 @@ def contraction_estimate(
         rng = np.random.default_rng(0)
 
     def distances(xa: list, xb: list) -> tuple[np.ndarray, list, list]:
-        ya = projective_action_many(s, xa, tols)
-        yb = projective_action_many(s, xb, tols)
-        return hennion_distance_many(ya, yb, tols), ya, yb
+        ya = projective_action_many(s, xa)
+        yb = projective_action_many(s, xb)
+        return hennion_distance_many(ya, yb), ya, yb
 
     def row(stack: list, k: int) -> list:
         return [blk[k] for blk in stack]
 
     lower = 0.0
-    best_pair = None
-    best_images = None  # the image blocks of best_pair
+    pure_pair = None  # the winning axis pair, until a random pair beats it
+    best_images = None  # the image blocks of the winning pair
 
     axis = _axis_pure_vectors(alg)
     if len(axis) > 1:
-        axis_images = projective_action_many(s, _pure_stack(alg, axis), tols)
+        axis_images = projective_action_many(s, _pure_stack(alg, axis))
         ii, jj = np.triu_indices(len(axis), 1)  # pairs i < j, row by row
         d = hennion_distance_many(
-            [blk[ii] for blk in axis_images], [blk[jj] for blk in axis_images], tols
+            [blk[ii] for blk in axis_images], [blk[jj] for blk in axis_images]
         )
         k = int(np.argmax(d))  # the first strict maximum
         if d[k] > lower:
             lower = d[k]
-            best_pair = (axis[ii[k]], axis[jj[k]])
+            pure_pair = (axis[ii[k]], axis[jj[k]])
             best_images = (row(axis_images, ii[k]), row(axis_images, jj[k]))
 
     if n_samples > 0:
         # pair j draws a boundary and a pure state, in alternating order
         kinds = [("boundary", "pure")[(j + side) % 2] for j in range(n_samples) for side in (0, 1)]
-        x = random_state_stack(alg, kinds, rng, tols)
+        x = random_state_stack(alg, kinds, rng)
         xa, xb = [blk[0::2] for blk in x], [blk[1::2] for blk in x]
         d, ya, yb = distances(xa, xb)
         k = int(np.argmax(d))
         if d[k] > lower:
             lower = d[k]
-            best_pair = tuple(
-                State.from_element(AlgebraElement(alg, row(xs, k)), tols) for xs in (xa, xb)
-            )
+            pure_pair = None
             best_images = (row(ya, k), row(yb, k))
 
     # refine over pure-state vector pairs
-    pure_pair = None
-    if best_pair is not None and isinstance(best_pair[0], tuple):
-        pure_pair = best_pair
-    else:
+    if pure_pair is None:
         candidates = []
         for _ in range(max(4, n_samples // 8)):
             ba = int(rng.integers(alg.n_blocks))
@@ -941,7 +921,7 @@ def contraction_estimate(
         )
         pure_pair = candidates[len(d) - 1 - int(np.argmax(d[::-1]))]  # the last maximum
 
-    if pure_pair is not None and refine_iters > 0 and lower < 1.0 - 1e-12:
+    if refine_iters > 0 and lower < 1.0 - 1e-12:
         (ba, va), (bb, vb) = pure_pair
         na = alg.block_dims[ba]
 
@@ -961,37 +941,22 @@ def contraction_estimate(
         if polish:
             z, f = _polish(lambda z: objective(z[None])[0], z)
         if f > lower:
-            best_pair = (
-                (ba, _unpack(z[: 2 * na])),
-                (bb, _unpack(z[2 * na :])),
-            )
             best_images = tuple(
-                row(projective_action_many(s, _pure_stack(alg, [p]), tols), 0) for p in best_pair
+                row(projective_action_many(s, _pure_stack(alg, [p])), 0)
+                for p in ((ba, _unpack(z[: 2 * na])), (bb, _unpack(z[2 * na :])))
             )
 
     if best_images is not None:
         # the reported bound is the exact distance of the winning image pair
         lower = hennion_distance(
-            AlgebraElement(alg, best_images[0]), AlgebraElement(alg, best_images[1]), tols
+            AlgebraElement(alg, best_images[0]), AlgebraElement(alg, best_images[1])
         )
 
     cert = UpperCertificate()
     if lower <= 1.0 - 1e-9:
-        cert = certified_upper(s, tols)
+        cert = certified_upper(s)
 
-    return ContractionEstimate(
-        lower_bound=float(lower),
-        upper_bound=float(min(1.0, max(cert.upper_bound, lower))),
-        fixed_point=cert.fixed_point,
-        eta=cert.eta,
-        n_samples=n_samples,
-        refine_iters=refine_iters,
-        fixed_point_converged=cert.fixed_point is not None,
-        convergence_error=cert.fixed_point is None and lower < 1.0 - 1e-9,
-        best_pair=best_pair,
-        sandwich=cert.sandwich,
-        upper_method=cert.method,
-    )
+    return ContractionEstimate(float(lower), float(min(1.0, max(cert.upper_bound, lower))), cert)
 
 
 def is_strict_contraction(
@@ -1018,7 +983,7 @@ class IrreducibilityVerdict:
 
 
 def _proj_candidates(
-    s: SuperOperator, rng: np.random.Generator, n_random: int, tols: Tolerances
+    s: SuperOperator, rng: np.random.Generator, n_random: int
 ) -> list[AlgebraElement]:
     alg = s.algebra
     cands: list[AlgebraElement] = []
@@ -1026,7 +991,7 @@ def _proj_candidates(
     def add_from_spectrum(x: AlgebraElement) -> None:
         # cumulative spectral projections across the joint block spectrum
         pairs = []
-        for b, blk in enumerate(x.hermitize(tols).blocks):
+        for b, blk in enumerate(x.hermitize().blocks):
             w, v = np.linalg.eigh(blk)
             for k in range(len(w)):
                 pairs.append((float(w[k]), b, v[:, k]))
@@ -1050,15 +1015,15 @@ def _proj_candidates(
             blocks[b][k, k] = 1.0
             cands.append(AlgebraElement(alg, blocks))
     # spectral structure of the Perron state (or of s(1))
-    x0 = perron_state(s, tols)
+    x0 = perron_state(s)
     add_from_spectrum(x0.element if x0 is not None else s.apply(alg.identity()))
     # iterated supports of images of random projections
     for _ in range(n_random):
-        p = random_state(alg, "pure", rng, tols=tols).element
-        q = support_projection(alg, p, tols=tols)
+        p = random_state(alg, "pure", rng).element
+        q = support_projection(alg, p)
         for _ in range(3):
-            img = s.apply(q).hermitize(tols)
-            q = support_projection(alg, img, rank_tol=1e-9, tols=tols)
+            img = s.apply(q).hermitize()
+            q = support_projection(alg, img, rank_tol=1e-9)
             cands.append(q)
     return cands
 
@@ -1067,7 +1032,6 @@ def irreducibility_probe(
     s: SuperOperator,
     rng: np.random.Generator | None = None,
     n_random: int = 8,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> IrreducibilityVerdict:
     """Search for a non-trivial projection p with s(p) <= lambda p.
 
@@ -1080,13 +1044,13 @@ def irreducibility_probe(
         rng = np.random.default_rng(0)
     alg = s.algebra
     total = sum(alg.block_dims)
-    for p in _proj_candidates(s, rng, n_random, tols):
+    for p in _proj_candidates(s, rng, n_random):
         rank = round(
             sum(float(np.trace(blk).real) for blk in p.blocks)
         )
         if rank <= 0 or rank >= total:
             continue
-        img = s.apply(p).hermitize(tols)
+        img = s.apply(p).hermitize()
         one_minus = alg.identity() - p
         resid = one_minus @ img @ one_minus
         lam = norm(alg, img, "inf")
@@ -1095,7 +1059,7 @@ def irreducibility_probe(
     return IrreducibilityVerdict("no_invariant_projection_found")
 
 
-def unitalize(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> SuperOperator:
+def unitalize(s: SuperOperator) -> SuperOperator:
     """Unital tracial repair of a subunital, subtracial positive map.
 
     Adds the rank-one correction
@@ -1106,12 +1070,12 @@ def unitalize(s: SuperOperator, tols: Tolerances = DEFAULT_TOLS) -> SuperOperato
     s = validate_flags(s)
     alg = s.algebra
     one = alg.identity()
-    s1 = s.apply(one).hermitize(tols)
+    s1 = s.apply(one).hermitize()
     defect = one - s1
-    if not is_positive(alg, defect, tols=tols):
+    if not is_positive(alg, defect):
         raise RejectedInputError("map is not subunital; nothing to repair")
-    dual1 = s.apply_dual(one).hermitize(tols)
-    if not is_positive(alg, one - dual1, tols=tols):
+    dual1 = s.apply_dual(one).hermitize()
+    if not is_positive(alg, one - dual1):
         raise RejectedInputError("map is not subtracial; nothing to repair")
     denom = 1.0 - trace(alg, s1).real
     if denom <= 1e-12:

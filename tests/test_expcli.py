@@ -48,6 +48,8 @@ FCS_CONFIG = {
     "plan": {"gaps": [1, 2], "window": 8},
 }
 
+CONFIGS = {"process": PROCESS_CONFIG, "fcs": FCS_CONFIG}
+
 
 class TestMetricCommand:
     def test_identical_files(self, tmp_path):
@@ -325,13 +327,6 @@ class TestFcsCommand:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["fcs", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
-    def test_removed_samples_flag_exit_2(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(FCS_CONFIG))
-        with pytest.raises(SystemExit) as exc:
-            main(["fcs", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--samples", "6"])
-        assert exc.value.code == 2
-
     def test_covariance_rows(self, tmp_path):
         out = tmp_path / "fcs"
         cmd_fcs(dict(FCS_CONFIG), str(out))
@@ -367,6 +362,22 @@ class TestCliWiring:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["C_mean"] == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("command", ["process", "fcs"])
+    def test_removed_samples_flag_exit_2(self, tmp_path, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(CONFIGS[command]))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--samples", "6"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["process", "fcs"])
+    def test_tolerances_key_exit_2(self, tmp_path, command):
+        # the cutoffs are fixed: a config cannot loosen a certificate
+        cfg = {**CONFIGS[command], "tolerances": {"cert_margin": -0.5}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
 class TestSchemaValidators:

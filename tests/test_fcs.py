@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -16,7 +15,6 @@ from hennion_lab import (
     tensor_element,
     trace,
 )
-from hennion_lab.config import DEFAULT_TOLS
 from hennion_lab.errors import RejectedInputError
 from hennion_lab.fcs import (
     LocalObservable,
@@ -325,7 +323,7 @@ class TestPsiValue:
         # thousand observables stay cheap
         from hennion_lab.fcs import _core_eval
 
-        z = _flank_evolution(rand_gen, iid, -12, 0, DEFAULT_TOLS)[0]
+        z = _flank_evolution(rand_gen, iid, -12, 0)[0]
         rng = np.random.default_rng(12)
         for _ in range(1000):
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -377,7 +375,6 @@ def _parent_flank_evolution(generator, driver, start, stop_before, est_opts, est
             est = contraction_estimate(
                 comp,
                 rng=np.random.default_rng(derive_seed(est_seed, f"flank:{site}")),
-                tols=DEFAULT_TOLS,
                 **est_opts.call_kwargs(),
             )
             upper = min(upper, est.upper_bound)
@@ -405,9 +402,7 @@ class TestFlankCertificates:
         z_ref, upper_ref = _parent_flank_evolution(
             gen, DRIVERS[driver], -window, 0, opts, 11, stride
         )
-        z, upper, computed, reused = _flank_evolution(
-            gen, DRIVERS[driver], -window, 0, DEFAULT_TOLS
-        )
+        z, upper, computed, reused = _flank_evolution(gen, DRIVERS[driver], -window, 0)
         assert np.array_equal(z, z_ref)
         assert upper == upper_ref
         assert (computed, reused) == (1, 0)
@@ -434,15 +429,6 @@ class TestFlankCertificates:
         assert est.flank_certificates == 1 and est.flank_certificates_reused == 0
         fresh = psi_value(random_unital_generator(site, bond, kraus_rank=2), iid, obs, window=12)
         assert est.flank_upper == fresh.flank_upper
-
-    def test_tolerances_are_part_of_the_key(self, rand_gen, iid, site):
-        obs = LocalObservable.from_sites(site, 0, [pauli(site, "z")])
-        psi_value(rand_gen, iid, obs, window=12)
-        tols = replace(DEFAULT_TOLS, cert_margin=1e-11)
-        est = psi_value(rand_gen, iid, obs, window=12, tols=tols)
-        assert (est.flank_certificates, est.flank_certificates_reused) == (1, 0)
-        again = psi_value(rand_gen, iid, obs, window=12, tols=tols)
-        assert (again.flank_certificates, again.flank_certificates_reused) == (0, 1)
 
     def test_shifted_driver_reuses_shared_points(self, rand_gen, iid, site):
         # the flank of the shifted driver at window 14 starts at the same

@@ -271,7 +271,7 @@ class TestFloorCarry:
             lower, upper = min(lower, est.lower_bound), min(upper, est.upper_bound)
             assert (e.exact, e.lower, e.upper) == (True, lower, upper)
             assert e.upper_method == (
-                est.upper_method if e.upper == est.upper_bound else "carried"
+                est.cert.method if e.upper == est.upper_bound else "carried"
             )
 
 

@@ -18,7 +18,6 @@ from hennion_lab.errors import (
     KernelStateError,
     RejectedInputError,
 )
-from hennion_lab.config import DEFAULT_TOLS
 from hennion_lab.hennion import m_quantity
 from hennion_lab.qmaps import (
     MapFlags,
@@ -408,10 +407,10 @@ class TestContractionEstimate:
     def test_fixed_point_property(self, qubit, rng):
         s = random_faithful_map(qubit, 41)
         est = contraction_estimate(s, n_samples=16, refine_iters=4, rng=rng)
-        assert est.fixed_point_converged
+        assert est.cert.fixed_point is not None
         resid = norm(
             qubit,
-            projective_action(s, est.fixed_point).element - est.fixed_point.element,
+            projective_action(s, est.cert.fixed_point).element - est.cert.fixed_point.element,
             "one",
         )
         assert resid <= 1e-9
@@ -435,10 +434,10 @@ class TestContractionEstimate:
     def test_upper_matches_sandwich_ratio(self, qubit, rng):
         s = random_faithful_map(qubit, 43)
         est = contraction_estimate(s, n_samples=16, refine_iters=4, rng=rng)
-        assert est.upper_method != "none"
-        lam, mu = est.sandwich
+        assert est.cert.method != "none"
+        lam, mu = est.cert.sandwich
         assert 0 < lam <= 1 <= mu
-        assert est.eta == min(lam, 1 / mu)
+        assert est.cert.eta == min(lam, 1 / mu)
         r2 = (lam / mu) ** 2
         assert est.upper_bound == pytest.approx(max((1 - r2) / (1 + r2), est.lower_bound))
 
@@ -519,16 +518,16 @@ class TestChoiCertificate:
             est = contraction_estimate(
                 s, n_samples=8, refine_iters=0, rng=np.random.default_rng(i)
             )
-            assert est.upper_method != "none"
-            assert est.eta <= self._grid_infimum(s, est.fixed_point) * (1 + 1e-12)
-            lam, mu = est.sandwich
+            assert est.cert.method != "none"
+            assert est.cert.eta <= self._grid_infimum(s, est.cert.fixed_point) * (1 + 1e-12)
+            lam, mu = est.cert.sandwich
             r2 = (lam / mu) ** 2
             assert (1 - r2) / (1 + r2) >= est.lower_bound - 1e-12  # the clamp is idle
 
     def test_depolarizing_anchor(self, qubit):
         est = contraction_estimate(depolarizing_channel(qubit, 0.5), n_samples=8, refine_iters=0)
         assert est.upper_bound == pytest.approx(0.8, abs=1e-12)
-        assert est.sandwich == pytest.approx((0.5, 1.5), rel=1e-12)
+        assert est.cert.sandwich == pytest.approx((0.5, 1.5), rel=1e-12)
 
     def test_transpose_composition_anchor(self, qubit):
         # not completely positive, so the Choi matrix cannot prove the lower
@@ -537,8 +536,8 @@ class TestChoiCertificate:
         assert not _choi_is_psd(s)
         est = contraction_estimate(s, n_samples=8, refine_iters=0)
         assert est.upper_bound == pytest.approx(0.8, abs=1e-12)
-        assert est.sandwich == pytest.approx((0.5, 1.5), rel=1e-12)
-        assert est.upper_method == "mixed"
+        assert est.cert.sandwich == pytest.approx((0.5, 1.5), rel=1e-12)
+        assert est.cert.method == "mixed"
 
     @staticmethod
     def _sides(s, x0, co):
@@ -573,16 +572,16 @@ class TestChoiCertificate:
             if seed % 2:
                 s = compose(s, transpose_map(alg))
             est = contraction_estimate(s, n_samples=8, refine_iters=0)
-            lc, mc = self._sides(s, est.fixed_point, co=False)
-            lt, mt = self._sides(s, est.fixed_point, co=True)
-            lam, mu = est.sandwich
+            lc, mc = self._sides(s, est.cert.fixed_point, co=False)
+            lt, mt = self._sides(s, est.cert.fixed_point, co=True)
+            lam, mu = est.cert.sandwich
             assert lam == pytest.approx(max(lc, lt) * shrink, rel=1e-9, abs=1e-14)
             assert mu == pytest.approx(min(mc, mt) / shrink, rel=1e-9)
             if lam > 0 and abs(lc - lt) > 1e-9 and abs(mc - mt) > 1e-9:
                 by_lam = "choi" if lc > lt else "co_choi"
                 by_mu = "choi" if mc < mt else "co_choi"
                 expected = by_lam if by_lam == by_mu else "mixed"
-                assert est.upper_method == expected
+                assert est.cert.method == expected
                 seen.add(expected)
         assert seen
 
@@ -629,7 +628,7 @@ class TestChoiCertificate:
         eps = np.finfo(float).eps
         seen = set()
         for (name, s), sides in zip(maps, refs):
-            lam, mu, method = _choi_sandwich(s, perron_state(s), DEFAULT_TOLS)
+            lam, mu, method = _choi_sandwich(s, perron_state(s))
             lam_ref, mu_ref, lam_by, mu_by = 0.0, np.inf, None, None
             for kind, side_lam, side_mu, _, cond in sides:
                 if side_lam > 0.0:
@@ -655,7 +654,7 @@ class TestChoiCertificate:
             w, v = np.linalg.eigh(sum(k.conj().T @ k for k in g))
             r = (v / np.sqrt(w)) @ v.conj().T
             s = from_kraus(qutrit, [qutrit.element([k @ r]) for k in g])
-            lam, _, method = _choi_sandwich(s, perron_state(s), DEFAULT_TOLS)
+            lam, _, method = _choi_sandwich(s, perron_state(s))
             assert (lam, method) == (0.0, "none")
             assert [side[1] for side in self._order_sides(s, perron_state(s))] == [0.0, 0.0]
 
@@ -667,7 +666,7 @@ class TestChoiCertificate:
         s = replacement_channel(alg, random_state(alg, "pure", rng))
         x0 = perron_state(s)
         sides = self._order_sides(s, x0)
-        lam, mu, method = _choi_sandwich(s, x0, DEFAULT_TOLS)
+        lam, mu, method = _choi_sandwich(s, x0)
         shrink = 1.0 - 64.0 * float(np.finfo(float).eps)
         best_lam, best_mu, lam_by, mu_by = 0.0, np.inf, None, None
         for kind, side_lam, side_mu, positive, _ in sides:
@@ -706,7 +705,7 @@ class TestChoiCertificate:
         s = replacement_channel(qubit, random_state(qubit, "full", rng))
         est = contraction_estimate(s, n_samples=8, refine_iters=0, rng=rng)
         assert est.upper_bound <= 1e-12
-        assert est.upper_method == "choi"
+        assert est.cert.method == "choi"
 
     def test_singular_fixed_point(self, rng):
         # half a block transpose plus a replacement into the first block: the
@@ -728,11 +727,11 @@ class TestChoiCertificate:
         )
         s = SuperOperator(alg, mat, MapFlags(positive="yes", faithful="yes"))
         est = contraction_estimate(s, n_samples=16, refine_iters=4, rng=rng)
-        assert not est.fixed_point.is_invertible
-        assert est.upper_method == "co_choi"
+        assert not est.cert.fixed_point.is_invertible
+        assert est.cert.method == "co_choi"
         assert est.lower_bound <= est.upper_bound < 1
-        lam, mu = est.sandwich
-        x0 = est.fixed_point.element
+        lam, mu = est.cert.sandwich
+        x0 = est.cert.fixed_point.element
         for _ in range(500):
             y = projective_action(s, random_state(alg, "pure", rng)).element
             for yb, xb in zip(y.blocks, x0.blocks):
@@ -741,8 +740,8 @@ class TestChoiCertificate:
 
     def test_no_fixed_point_means_no_certificate(self, qubit, rng):
         est = contraction_estimate(transpose_map(qubit), n_samples=8, refine_iters=0, rng=rng)
-        assert est.fixed_point is None
-        assert est.sandwich is None and est.upper_method == "none" and est.eta == 0.0
+        assert est.cert.fixed_point is None
+        assert est.cert.sandwich is None and est.cert.method == "none" and est.cert.eta == 0.0
 
 
 def _loop_upper(s, max_iter=5000, tol=1e-12):
@@ -759,7 +758,7 @@ def _loop_upper(s, max_iter=5000, tol=1e-12):
             break
     else:
         return None
-    lam, mu, method = _choi_sandwich(s, x, DEFAULT_TOLS)
+    lam, mu, method = _choi_sandwich(s, x)
     if method == "none":
         return 1.0
     r2 = (lam / mu) ** 2
@@ -781,9 +780,9 @@ class TestPerronState:
             MapFlags(positive="yes", faithful="yes"),
         )
         est = contraction_estimate(s, n_samples=8, refine_iters=0)
-        assert est.upper_bound < 1.0 and est.upper_method != "none"
+        assert est.upper_bound < 1.0 and est.cert.method != "none"
         assert est.lower_bound <= est.upper_bound
-        assert est.fixed_point_converged and not est.convergence_error
+        assert est.cert.fixed_point is not None and not est.convergence_error
 
     @pytest.mark.parametrize("alg_name", ["qubit", "qutrit", "two_blocks"])
     def test_matches_fixed_point_iteration(self, alg_name, request):
@@ -827,7 +826,7 @@ class TestIrreducibility:
         s = random_faithful_map(qubit, 44)
         est = contraction_estimate(s, n_samples=8, refine_iters=0)
         assert is_strict_contraction(s, est) == "certified_yes"
-        assert est.fixed_point.is_invertible
+        assert est.cert.fixed_point.is_invertible
         assert irreducibility_probe(s).kind == "no_invariant_projection_found"
 
 
